@@ -1,12 +1,13 @@
 // Fault-injection + crash-recovery benchmark (JSON + exit-code gated):
 //
 // 1. Recovery cost: push the engine through several update epochs,
-//    snapshot each one, then "crash" and measure the full restart path
-//    — directory scan + checksum validation + dataset/tree rebuild +
-//    Open(FromSnapshotDir) — and prove the restored engine answers probe
-//    queries bit-identically (ids, scores, simulated reads). A torn
-//    last snapshot (injected) must be rejected by checksum with
-//    recovery falling back to the previous valid epoch.
+//    persist each one as an arena file, then "crash" and measure the
+//    restart path — directory scan + checksum validation
+//    (RecoverLatestArena), then Open(FromArena(dir)) — and prove the
+//    restored engine answers probe queries bit-identically (ids,
+//    scores, simulated reads). A torn last arena (injected) must be
+//    rejected by checksum with recovery falling back to the previous
+//    valid epoch.
 //
 // 2. Availability under faults: replay one seeded trace through the
 //    serving stack at increasing injected read-fault rates, retries on,
@@ -14,7 +15,7 @@
 //    terminal kUnavailable degradation per rate.
 //
 // Emits BENCH_PR7.json (schema bench/BENCH_PR7.schema.json); exits
-// non-zero unless recovery is bitwise-faithful, the torn snapshot is
+// non-zero unless recovery is bitwise-faithful, the torn arena is
 // rejected, and availability at the gated fault rate clears
 // --min_availability. Rates are per checked page read, so the gate is
 // machine-portable: availability depends only on the fault schedule and
@@ -26,7 +27,6 @@
 
 #include "bench_util.h"
 #include "gir/batch_engine.h"
-#include "index/rtree_codec.h"
 #include "serve/replay.h"
 #include "storage/fault_injector.h"
 #include "storage/snapshot_store.h"
@@ -45,7 +45,7 @@ struct BenchConfig {
   Params params;
   int64_t dim = 3;
   int64_t events = 300;
-  int64_t epochs = 4;       // update batches (= snapshots) before the crash
+  int64_t epochs = 4;       // update batches (= arenas) before the crash
   int64_t probes = 16;      // bitwise-equality probe queries
   double gate_rate = 0.005;  // fault rate the availability gate applies to
   double min_availability = 0.99;
@@ -71,10 +71,10 @@ UpdateBatch MakeUpdateBatch(const Dataset& data, Rng& rng, size_t count) {
 }
 
 struct RecoveryResult {
-  uint64_t snapshot_bytes = 0;
-  double write_ms = 0.0;    // last intact snapshot publish
-  double recover_ms = 0.0;  // scan + validate + rebuild dataset/tree
-  double restore_ms = 0.0;  // Open(FromSnapshotDir): scan + refreeze
+  uint64_t snapshot_bytes = 0;  // last intact arena file
+  double write_ms = 0.0;    // last intact arena publish
+  double recover_ms = 0.0;  // scan + validate every arena candidate
+  double restore_ms = 0.0;  // Open(FromArena(dir)): scan + map
   uint64_t recovered_version = 0;
   size_t scanned = 0;
   size_t rejected = 0;
@@ -103,10 +103,9 @@ RecoveryResult MeasureRecovery(const BenchConfig& cfg,
       std::exit(1);
     }
     Stopwatch sw;
-    auto wrote = store.WriteSnapshot(engine->dataset(), engine->tree(),
-                                     up->version);
+    auto wrote = store.WriteArena(engine->flat_tree(), up->version);
     if (!wrote.ok()) {
-      std::fprintf(stderr, "snapshot: %s\n",
+      std::fprintf(stderr, "arena: %s\n",
                    wrote.status().ToString().c_str());
       std::exit(1);
     }
@@ -115,9 +114,8 @@ RecoveryResult MeasureRecovery(const BenchConfig& cfg,
   }
 
   // "Crash": recover from disk into a brand-new engine.
-  DiskManager disk2;
   Stopwatch recover_sw;
-  auto rec = store.RecoverLatest(&disk2);
+  auto rec = store.RecoverLatestArena();
   out.recover_ms = recover_sw.ElapsedMillis();
   if (!rec.ok()) {
     std::fprintf(stderr, "recover: %s\n", rec.status().ToString().c_str());
@@ -127,12 +125,12 @@ RecoveryResult MeasureRecovery(const BenchConfig& cfg,
   out.scanned = rec->scanned;
   out.rejected = rec->rejected;
   // Restore = the one-call path a restarting process actually runs:
-  // Open scans, validates and refreezes in one step (so this figure
-  // includes its own recovery scan, not just the refreeze).
+  // Open scans, validates and maps in one step (so this figure
+  // includes its own recovery scan).
   DiskManager disk3;
   Stopwatch restore_sw;
-  auto restored = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      dir, &disk3, MakeScoring("Linear", cfg.dim)));
+  auto restored = OpenEngineOrDie(
+      EngineConfig::FromArena(dir, &disk3, MakeScoring("Linear", cfg.dim)));
   out.restore_ms = restore_sw.ElapsedMillis();
 
   // Bitwise probes: ids, scores and charged simulated reads must all
@@ -152,7 +150,7 @@ RecoveryResult MeasureRecovery(const BenchConfig& cfg,
     }
   }
 
-  // Torn-tail drill: publish a newer snapshot whose data blocks never
+  // Torn-tail drill: publish a newer arena whose data blocks never
   // fully hit the platter; recovery must reject it by checksum and keep
   // serving the previous epoch.
   FaultPlan torn_plan;
@@ -160,10 +158,10 @@ RecoveryResult MeasureRecovery(const BenchConfig& cfg,
   torn_plan.torn_write_rate = 1.0;
   FaultInjector torn(torn_plan);
   SnapshotStore faulty(dir, &torn);
-  auto wrote = faulty.WriteSnapshot(engine->dataset(), engine->tree(),
-                                    engine->dataset_version() + 1);
+  auto wrote =
+      faulty.WriteArena(engine->flat_tree(), engine->dataset_version() + 1);
   if (wrote.ok() && wrote->injected == FaultInjector::WriteFault::kTorn) {
-    auto rec2 = store.RecoverLatest(&disk2);
+    auto rec2 = store.RecoverLatestArena();
     out.torn_rejected = rec2.ok() && rec2->rejected >= 1;
     out.torn_fallback_ok =
         rec2.ok() && rec2->version == engine->dataset_version();
@@ -256,14 +254,14 @@ int main(int argc, char** argv) {
           .string();
   flags.AddInt("d", &cfg.dim, "dimensionality");
   flags.AddInt("events", &cfg.events, "trace events per availability point");
-  flags.AddInt("epochs", &cfg.epochs, "update epochs snapshotted pre-crash");
+  flags.AddInt("epochs", &cfg.epochs, "update epochs persisted pre-crash");
   flags.AddInt("probes", &cfg.probes, "bitwise probe queries post-recovery");
   flags.AddDouble("gate_rate", &cfg.gate_rate,
                   "read-fault rate the availability gate applies to");
   flags.AddDouble("min_availability", &cfg.min_availability,
                   "required served/offered fraction at the gated rate");
   flags.AddString("snapshot_dir", &snapshot_dir,
-                  "scratch directory for snapshot files");
+                  "scratch directory for arena files");
   flags.AddString("out", &out_path, "output JSON path");
   Status s = flags.Parse(argc, argv);
   if (!s.ok()) return s.code() == StatusCode::kNotFound ? 0 : 1;
@@ -284,7 +282,7 @@ int main(int argc, char** argv) {
   PrintRow("write", {rec.write_ms});
   PrintRow("recover", {rec.recover_ms});
   PrintRow("restore", {rec.restore_ms});
-  std::printf("snapshot %.1f KiB, recovered epoch %llu (scanned %zu, "
+  std::printf("arena %.1f KiB, recovered epoch %llu (scanned %zu, "
               "rejected %zu), bitwise %s, torn tail %s\n",
               static_cast<double>(rec.snapshot_bytes) / 1024.0,
               static_cast<unsigned long long>(rec.recovered_version),

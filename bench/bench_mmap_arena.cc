@@ -1,12 +1,13 @@
 // Mmap'd-arena storage benchmark (JSON + exit-code gated):
 //
 // 1. Cold restart: push an engine through several update epochs,
-//    publish the final epoch both ways — legacy snapshot and mmap'able
-//    arena — then "crash" and measure the two restart paths against
-//    each other: deserialize + rebuild + refreeze (RecoverLatest +
-//    Restore) vs. validate + mmap + serve (Open with an arena source).
-//    Probe queries prove the mapped engine answers bit-identically
-//    (ids, scores, charged reads) to the pre-crash one.
+//    publish the final epoch as an arena file, then "crash" and time
+//    the two restarts from that one file: the writer restart (thaw the
+//    master tree + refreeze: Open(FromArena).WithWal) and the read-only
+//    restart (validate + mmap + serve: Open(FromArena)). Their ratio is
+//    reported, not gated. Probe queries prove both engines answer
+//    bit-identically (ids, scores, charged reads) to the pre-crash one,
+//    and the writer's master tree has the pre-crash page image.
 //
 // 2. Frontier prefetch: evict the mapping's resident set, then run one
 //    shared-traversal batch with the madvise readahead on and one with
@@ -23,8 +24,8 @@
 //    the file does not fit in memory, it just pays page-ins.
 //
 // Emits BENCH_PR8.json (schema bench/BENCH_PR8.schema.json); exits
-// non-zero unless the mmap restart clears --min_speedup over rebuild,
-// the probes are bitwise-identical, and the prefetch counters behave.
+// non-zero unless the probes are bitwise-identical and the prefetch
+// counters behave.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -48,7 +49,6 @@ struct BenchConfig {
   int64_t probes = 24;        // bitwise-equality probe queries
   int64_t batch_queries = 48; // prefetch / resident-set batch size
   int64_t resident_rounds = 3;
-  double min_speedup = 5.0;   // required rebuild_ms / mmap_open_ms
 };
 
 UpdateBatch MakeUpdateBatch(const Dataset& data, Rng& rng, size_t count) {
@@ -119,10 +119,8 @@ int main(int argc, char** argv) {
                "queries per prefetch / resident-set batch");
   flags.AddInt("resident_rounds", &cfg.resident_rounds,
                "evict-and-serve rounds of the capped-resident-set phase");
-  flags.AddDouble("min_speedup", &cfg.min_speedup,
-                  "required cold-restart speedup of mmap over rebuild");
   flags.AddString("arena_dir", &arena_dir,
-                  "scratch directory for snapshot + arena files");
+                  "scratch directory for the arena and WAL files");
   flags.AddString("out", &out_path, "output JSON path");
   Status s = flags.Parse(argc, argv);
   if (!s.ok()) return s.code() == StatusCode::kNotFound ? 0 : 1;
@@ -138,7 +136,7 @@ int main(int argc, char** argv) {
   GirEngineOptions eopts;
   eopts.materialize_polytope = false;
 
-  // ----- build + epochs + publish both restart images -----
+  // ----- build + epochs + publish the arena -----
   Dataset data = MakeNamedDataset("IND", cfg.params.n, cfg.dim,
                                   cfg.params.seed);
   DiskManager disk;
@@ -153,21 +151,24 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  const std::string wal_dir = arena_dir + "_wal";
   std::filesystem::remove_all(arena_dir);
+  std::filesystem::remove_all(wal_dir);
   SnapshotStore store(arena_dir);
   const uint64_t version = engine->dataset_version();
-  auto snap = store.WriteSnapshot(engine->dataset(), engine->tree(), version);
   auto arena_write = store.WriteArena(engine->flat_tree(), version);
-  if (!snap.ok() || !arena_write.ok()) {
+  if (!arena_write.ok()) {
     std::fprintf(stderr, "publish failed\n");
     return 1;
   }
 
-  // ----- cold restart: rebuild vs mmap -----
+  // ----- cold restart: writer (thaw) vs read-only (mmap) -----
   DiskManager rebuild_disk;
   Stopwatch rebuild_sw;
-  auto rebuilt_open = GirEngine::Open(EngineConfig::FromSnapshotDir(
-      arena_dir, &rebuild_disk, MakeScoring("Linear", dim), eopts));
+  auto rebuilt_open = GirEngine::Open(
+      EngineConfig::FromArena(arena_dir, &rebuild_disk,
+                              MakeScoring("Linear", dim), eopts)
+          .WithWal(wal_dir));
   if (!rebuilt_open.ok()) {
     std::fprintf(stderr, "recover: %s\n",
                  rebuilt_open.status().ToString().c_str());
@@ -196,20 +197,24 @@ int main(int argc, char** argv) {
   }
   const double speedup = rebuild_ms / std::max(mmap_open_ms, 1e-6);
 
-  // ----- bitwise probes: pre-crash vs mapped -----
+  // ----- bitwise probes: pre-crash vs mapped and vs thawed -----
   bool bitwise = mapped->dataset_version() == version &&
-                 rebuilt->dataset_version() == version;
+                 rebuilt->dataset_version() == version &&
+                 BuildArenaImage(FlatRTree::Freeze(rebuilt->tree()), version) ==
+                     BuildArenaImage(FlatRTree::Freeze(engine->tree()),
+                                     version);
   Rng probe_rng(99);
-  for (int64_t q = 0; q < cfg.probes; ++q) {
+  for (int64_t q = 0; q < cfg.probes && bitwise; ++q) {
     Vec w = RandomQuery(probe_rng, dim);
     auto a = engine->ComputeGir(w, cfg.params.k, Phase2Method::kFP);
-    auto b = mapped->ComputeGir(w, cfg.params.k, Phase2Method::kFP);
-    if (!a.ok() || !b.ok() || a->topk.result != b->topk.result ||
-        a->topk.scores != b->topk.scores ||
-        a->topk.io.reads != b->topk.io.reads ||
-        a->stats.phase2_reads != b->stats.phase2_reads) {
-      bitwise = false;
-      break;
+    for (GirEngine* restarted : {mapped.get(), rebuilt.get()}) {
+      auto b = restarted->ComputeGir(w, cfg.params.k, Phase2Method::kFP);
+      if (!a.ok() || !b.ok() || a->topk.result != b->topk.result ||
+          a->topk.scores != b->topk.scores ||
+          a->topk.io.reads != b->topk.io.reads ||
+          a->stats.phase2_reads != b->stats.phase2_reads) {
+        bitwise = false;
+      }
     }
   }
 
@@ -217,10 +222,8 @@ int main(int argc, char** argv) {
   PrintHeader("path", {"ms"});
   PrintRow("rebuild", {rebuild_ms});
   PrintRow("mmap", {mmap_open_ms});
-  std::printf("arena %.1f KiB vs snapshot %.1f KiB; speedup %.1fx, "
-              "probes bitwise %s\n",
-              static_cast<double>(arena_write->bytes) / 1024.0,
-              static_cast<double>(snap->bytes) / 1024.0, speedup,
+  std::printf("arena %.1f KiB; rebuild/mmap %.1fx, probes bitwise %s\n",
+              static_cast<double>(arena_write->bytes) / 1024.0, speedup,
               bitwise ? "yes" : "NO");
 
   // ----- frontier prefetch on a cold mapping -----
@@ -293,8 +296,7 @@ int main(int argc, char** argv) {
   }
 
   // ----- gate + JSON -----
-  const bool speedup_ok = speedup >= cfg.min_speedup;
-  const bool pass = speedup_ok && bitwise && prefetch_ok;
+  const bool pass = bitwise && prefetch_ok;
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -315,11 +317,10 @@ int main(int argc, char** argv) {
                static_cast<long long>(cfg.batch_queries),
                static_cast<long long>(cfg.params.seed));
   std::fprintf(f,
-               "  \"cold_restart\": {\"snapshot_bytes\": %llu, "
-               "\"arena_bytes\": %llu, \"rebuild_ms\": %.4f, "
+               "  \"cold_restart\": {\"arena_bytes\": %llu, "
+               "\"rebuild_ms\": %.4f, "
                "\"mmap_open_ms\": %.4f, \"speedup\": %.2f, "
                "\"version\": %llu, \"bitwise_identical\": %s},\n",
-               static_cast<unsigned long long>(snap->bytes),
                static_cast<unsigned long long>(arena_write->bytes),
                rebuild_ms, mmap_open_ms, speedup,
                static_cast<unsigned long long>(version),
@@ -350,20 +351,18 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"gate\": {\"min_speedup\": %.2f, "
-               "\"cold_restart_speedup\": %.2f, "
-               "\"bitwise_identical\": %s, \"prefetch_ok\": %s, "
-               "\"pass\": %s}\n",
-               cfg.min_speedup, speedup, bitwise ? "true" : "false",
-               prefetch_ok ? "true" : "false", pass ? "true" : "false");
+               "  \"gate\": {\"bitwise_identical\": %s, "
+               "\"prefetch_ok\": %s, \"pass\": %s}\n",
+               bitwise ? "true" : "false", prefetch_ok ? "true" : "false",
+               pass ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::filesystem::remove_all(arena_dir);
+  std::filesystem::remove_all(wal_dir);
 
-  std::printf("\nwrote %s (rebuild %.2fms vs mmap %.3fms = %.1fx %s %.1fx; "
+  std::printf("\nwrote %s (rebuild %.2fms vs mmap %.3fms = %.1fx; "
               "bitwise %s; prefetch %s: %s)\n",
               out_path.c_str(), rebuild_ms, mmap_open_ms, speedup,
-              speedup_ok ? ">=" : "<", cfg.min_speedup,
               bitwise ? "yes" : "NO", prefetch_ok ? "ok" : "broken",
               pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

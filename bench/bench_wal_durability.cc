@@ -9,10 +9,11 @@
 // 2. Group commit: concurrent appenders on a raw WalWriter, fsyncs vs.
 //    appends per window — the amortization a positive window buys.
 //
-// 3. Recovery vs. tail length: snapshot once, extend the WAL tail by T
-//    batches, crash, and time the two-phase reopen (snapshot restore +
-//    committed replay); the restored engine must answer probe queries
-//    bit-identically (ids, scores, simulated reads) to the survivor.
+// 3. Recovery vs. tail length: publish an arena, extend the WAL tail by
+//    T batches, crash, and time the two-phase reopen (thaw the master
+//    tree from the arena + committed replay); the restored engine must
+//    answer probe queries bit-identically (ids, scores, simulated reads)
+//    to the survivor.
 //
 // 4. Crash-point sweep: one injected fault — torn append, corrupt
 //    append, fsync EIO — walked across every commit ordinal. For every
@@ -232,13 +233,13 @@ RecoveryPoint MeasureRecovery(const BenchConfig& cfg, size_t tail) {
           .WithWal(wal_dir));
   SnapshotStore store(snap_dir);
 
-  // Two snapshotted epochs, then `tail` WAL-only batches.
+  // Two persisted epochs, then `tail` WAL-only batches. WriteArena, not
+  // Checkpoint: the log keeps every segment, so replay also walks past
+  // the batches the arena already covers.
   for (uint64_t e = 1; e <= 2; ++e) {
     Result<UpdateStats> up = engine->ApplyUpdates(
         EpochBatch(e, cfg.dim, static_cast<size_t>(cfg.batch_size)));
-    if (!up.ok() ||
-        !store.WriteSnapshot(engine->dataset(), engine->tree(), up->version)
-             .ok()) {
+    if (!up.ok() || !store.WriteArena(engine->flat_tree(), up->version).ok()) {
       std::fprintf(stderr, "recovery setup failed\n");
       std::exit(1);
     }
@@ -258,8 +259,7 @@ RecoveryPoint MeasureRecovery(const BenchConfig& cfg, size_t tail) {
   DiskManager disk2;
   Stopwatch sw;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", cfg.dim))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", cfg.dim))
           .WithWal(wal_dir));
   point.open_ms = sw.ElapsedMillis();
   point.replayed = restored->wal_recovery().replayed_batches;
@@ -328,8 +328,8 @@ SweepResult CrashPointSweep(const BenchConfig& cfg) {
                                     MakeScoring("Linear", cfg.dim))
               .WithWal(wal_dir, WalOptions{}, &fi));
       SnapshotStore store(snap_dir);
-      if (!store.WriteSnapshot(engine->dataset(), engine->tree(), 0).ok()) {
-        std::fprintf(stderr, "sweep snapshot failed\n");
+      if (!store.WriteArena(engine->flat_tree(), 0).ok()) {
+        std::fprintf(stderr, "sweep arena failed\n");
         std::exit(1);
       }
 
@@ -357,8 +357,8 @@ SweepResult CrashPointSweep(const BenchConfig& cfg) {
 
       DiskManager disk2;
       auto restored = OpenEngineOrDie(
-          EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                        MakeScoring("Linear", cfg.dim))
+          EngineConfig::FromArena(snap_dir, &disk2,
+                                  MakeScoring("Linear", cfg.dim))
               .WithWal(wal_dir));
       ++out.cases;
       out.acked_total += acked;
@@ -371,7 +371,8 @@ SweepResult CrashPointSweep(const BenchConfig& cfg) {
         auto a = reference->ComputeGir(w, cfg.params.k, Phase2Method::kFP);
         auto b = restored->ComputeGir(w, cfg.params.k, Phase2Method::kFP);
         bitwise = a.ok() && b.ok() && a->topk.result == b->topk.result &&
-                  a->topk.scores == b->topk.scores;
+                  a->topk.scores == b->topk.scores &&
+                  a->topk.io.reads == b->topk.io.reads;
       }
       if (bitwise) ++out.survived;
 

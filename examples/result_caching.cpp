@@ -10,8 +10,8 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
-#include "gir/cache.h"
 #include "gir/engine.h"
+#include "gir/sharded_cache.h"
 
 int main() {
   using namespace gir;
@@ -23,7 +23,7 @@ int main() {
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
-  GirCache cache(256);
+  ShardedGirCache cache(256);
 
   // Preference archetypes: "quality seeker", "bargain hunter", ...
   std::vector<Vec> archetypes = {
@@ -41,8 +41,8 @@ int main() {
     for (size_t j = 0; j < d; ++j) {
       q[j] = std::clamp(base[j] + rng.Gaussian(0.0, jitter), 0.01, 1.0);
     }
-    GirCache::Lookup hit = cache.Probe(q, k);
-    if (hit.kind == GirCache::HitKind::kExact) {
+    ShardedGirCache::Lookup hit = cache.Probe(q, k);
+    if (hit.kind == ShardedGirCache::HitKind::kExact) {
       ++served_from_cache;  // zero I/O, zero computation
     } else {
       Result<GirComputation> gir = engine->ComputeGir(q, k, Phase2Method::kFP);
@@ -73,7 +73,7 @@ int main() {
   std::printf("\nhit rate vs preference-cluster tightness:\n");
   std::printf("%-10s %s\n", "jitter", "exact-hit rate");
   for (double jit : {0.01, 0.02, 0.05, 0.10}) {
-    GirCache c2(256);
+    ShardedGirCache c2(256);
     int hits = 0;
     for (int i = 0; i < 200; ++i) {
       const Vec& base = archetypes[rng.UniformInt(archetypes.size())];
@@ -81,8 +81,8 @@ int main() {
       for (size_t j = 0; j < d; ++j) {
         q[j] = std::clamp(base[j] + rng.Gaussian(0.0, jit), 0.01, 1.0);
       }
-      GirCache::Lookup hit = c2.Probe(q, k);
-      if (hit.kind == GirCache::HitKind::kExact) {
+      ShardedGirCache::Lookup hit = c2.Probe(q, k);
+      if (hit.kind == ShardedGirCache::HitKind::kExact) {
         ++hits;
         continue;
       }

@@ -2,6 +2,8 @@
 #define GIR_COMMON_RESULT_H_
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -9,9 +11,22 @@
 
 namespace gir {
 
+namespace result_internal {
+
+// Out of line and cold so the checked accessors stay a single
+// predictable branch on the hot path.
+[[noreturn]] __attribute__((noinline, cold)) inline void DieOnMissingValue(
+    const Status& status) {
+  std::fprintf(stderr, "Result::value() on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace result_internal
+
 // Result<T> carries either a value or a non-OK Status, mirroring
-// absl::StatusOr. Accessing value() on an error aborts in debug builds;
-// callers must check ok() first.
+// absl::StatusOr. Accessing value() on an error prints the status and
+// aborts in every build type; callers must check ok() first.
 template <typename T>
 class Result {
  public:
@@ -26,15 +41,15 @@ class Result {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckHasValue();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckHasValue();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckHasValue();
     return std::move(*value_);
   }
 
@@ -44,6 +59,10 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
+  void CheckHasValue() const {
+    if (!value_.has_value()) result_internal::DieOnMissingValue(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

@@ -164,7 +164,6 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
     return Status::InvalidArgument("EngineConfig needs a scoring function");
   }
   if ((config.source == EngineConfig::Source::kCsv ||
-       config.source == EngineConfig::Source::kSnapshotDir ||
        config.source == EngineConfig::Source::kArena) &&
       config.path.empty()) {
     // Fail fast and by name: an empty path would otherwise surface as a
@@ -217,21 +216,6 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       }
       return engine;
     }
-    case EngineConfig::Source::kSnapshotDir: {
-      SnapshotStore store(config.path);
-      Result<SnapshotStore::Recovered> rec = store.RecoverLatest(config.disk);
-      if (!rec.ok()) return rec.status();
-      std::unique_ptr<GirEngine> engine(new GirEngine(
-          std::move(rec->dataset), std::move(*rec->tree), rec->version,
-          config.disk, std::move(config.scoring), config.options));
-      if (!config.wal_dir.empty()) {
-        // Two-phase recovery: the snapshot restored the newest durable
-        // epoch; now re-apply every committed WAL batch past it.
-        Status attached = engine->AttachWal(config, /*replay=*/true);
-        if (!attached.ok()) return attached;
-      }
-      return engine;
-    }
     case EngineConfig::Source::kArena: {
       Result<std::shared_ptr<const ArenaFile>> arena =
           Status::Internal("unreachable");
@@ -248,44 +232,33 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       }
       if (!arena.ok()) return arena.status();
 
-      if (!config.wal_dir.empty()) {
-        // Two-phase recovery, arena flavour: a committed WAL tail past
-        // the arena epoch forces the updatable rebuild path — replayed
-        // batches mutate a master rebuilt from the arena rows. Results
-        // are identical to the pre-crash engine (the update-vs-rebuild
-        // bit-identity property); with no tail the zero-copy mmap fast
-        // path below still applies.
-        WalStore probe(config.wal_dir, config.wal_injector);
-        Result<WalStore::ReplayLog> log =
-            probe.ReadCommitted((*arena)->version());
-        if (!log.ok()) return log.status();
-        if (!log->records.empty()) {
-          Result<std::unique_ptr<Dataset>> ds = (*arena)->BuildDataset();
-          if (!ds.ok()) return ds.status();
-          const uint64_t base_version = (*arena)->version();
-          RTree tree = RTree::BulkLoad(ds->get(), config.disk);
-          std::unique_ptr<GirEngine> engine(new GirEngine(
-              std::move(*ds), std::move(tree), base_version, config.disk,
-              std::move(config.scoring), config.options));
-          Status attached = engine->AttachWal(config, /*replay=*/true);
-          if (!attached.ok()) return attached;
-          return engine;
-        }
+      if (config.wal_dir.empty()) {
+        // No log to write: serve the mapping zero-copy, read-only.
+        Result<ArenaEpoch> epoch =
+            LoadArenaEpoch(std::move(*arena), config.disk);
+        if (!epoch.ok()) return epoch.status();
+        return std::unique_ptr<GirEngine>(new GirEngine(
+            std::move(epoch->dataset), std::move(epoch->flat), epoch->version,
+            config.disk, std::move(config.scoring), config.options));
       }
-
-      Result<ArenaEpoch> epoch = LoadArenaEpoch(std::move(*arena), config.disk);
-      if (!epoch.ok()) return epoch.status();
+      // Writer restart (two-phase recovery): thaw the master tree from
+      // the arena's node sections, page ids 1:1, then replay every
+      // committed WAL batch past the arena epoch. Replay repeats the
+      // pre-crash mutations on the pre-crash page image, so the result
+      // is page-identical to the engine that acknowledged them.
+      Result<std::unique_ptr<Dataset>> ds = (*arena)->BuildDataset();
+      if (!ds.ok()) return ds.status();
+      const uint64_t version = (*arena)->version();
+      Result<FlatRTree> flat =
+          FlatRTree::FromArena(std::move(*arena), ds->get(), config.disk);
+      if (!flat.ok()) return flat.status();
+      Result<RTree> tree = flat->Thaw(ds->get(), config.disk);
+      if (!tree.ok()) return tree.status();
       std::unique_ptr<GirEngine> engine(new GirEngine(
-          std::move(epoch->dataset), std::move(epoch->flat), epoch->version,
-          config.disk, std::move(config.scoring), config.options));
-      if (!config.wal_dir.empty()) {
-        // Read-only mmap engine: expose the store (for delta shipping /
-        // inspection) but no writer — arena engines take no updates.
-        engine->wal_store_ = std::make_unique<WalStore>(config.wal_dir,
-                                                        config.wal_injector);
-        engine->wal_recovery_.recovered_epoch = epoch->version;
-        engine->wal_recovery_.replayed_to = epoch->version;
-      }
+          std::move(*ds), std::move(*tree), version, config.disk,
+          std::move(config.scoring), config.options));
+      Status attached = engine->AttachWal(config, /*replay=*/true);
+      if (!attached.ok()) return attached;
       return engine;
     }
   }
@@ -378,8 +351,8 @@ Result<GirEngine::CheckpointStats> GirEngine::Checkpoint(SnapshotStore* store) {
 Result<uint64_t> GirEngine::AdvanceToArena(const std::string& path) {
   if (dataset_ != nullptr || mutable_dataset_ != nullptr) {
     return Status::FailedPrecondition(
-        "AdvanceToArena needs an arena-backed engine (Open with a kArena "
-        "source)");
+        "AdvanceToArena needs a read-only arena engine (Open with a kArena "
+        "source and no WAL)");
   }
   std::lock_guard<std::mutex> lock(update_mu_);
   Result<ArenaEpoch> epoch = LoadArenaEpoch(path, disk_);

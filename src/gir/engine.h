@@ -104,8 +104,9 @@ struct GirEngineOptions {
 
 // Unified construction input of GirEngine::Open: one value that names
 // where the engine's data comes from (the source), whether it accepts
-// ApplyUpdates (mutability follows the source), how records are scored,
-// and the engine options. Build one with the factory that matches your
+// ApplyUpdates (mutability follows the source; an arena is updatable
+// exactly when a WAL is attached), how records are scored, and the
+// engine options. Build one with the factory that matches your
 // source; every factory takes the same trailing (disk, scoring,
 // options) triple. Move-only (it carries the scoring function).
 //
@@ -119,29 +120,30 @@ struct GirEngineOptions {
 //                                is the mutable master.
 //   FromCsv(path)                loads the CSV into an engine-owned
 //                                mutable master (updatable).
-//   FromSnapshotDir(dir)         recovers the newest valid snapshot in
-//                                `dir` (SnapshotStore::RecoverLatest)
-//                                into an updatable engine.
-//   FromArena(path)              mmaps an arena file (storage/
-//                                arena_file.h) and serves straight from
-//                                the mapping: no rebuild, no refreeze,
-//                                read-only. `path` may be the file
+//   FromArena(path)              opens an arena file (storage/
+//                                arena_file.h). `path` may be the file
 //                                itself or a snapshot directory — the
 //                                newest valid arena-*.garn then wins
 //                                (SnapshotStore::RecoverLatestArena).
+//                                Without a WAL: serves straight from the
+//                                mmap, no rebuild, no refreeze,
+//                                read-only. With WithWal: thaws the
+//                                master R*-tree from the arena
+//                                (FlatRTree::Thaw, page ids 1:1) and
+//                                replays the committed WAL tail into an
+//                                updatable engine.
 struct EngineConfig {
   enum class Source {
     kDataset,         // caller-owned immutable dataset
     kMutableDataset,  // caller-owned mutable master dataset
     kCsv,             // CSV file, loaded into an engine-owned master
-    kSnapshotDir,     // newest valid .gsnp epoch in a directory
-    kArena,           // mmap'd arena file (or newest in a directory)
+    kArena,           // arena file (or newest in a directory)
   };
 
   Source source = Source::kDataset;
   const Dataset* dataset = nullptr;    // kDataset
   Dataset* mutable_dataset = nullptr;  // kMutableDataset
-  std::string path;                    // kCsv / kSnapshotDir / kArena
+  std::string path;                    // kCsv / kArena
   DiskManager* disk = nullptr;         // required, all sources
   std::unique_ptr<ScoringFunction> scoring;  // required, all sources
   GirEngineOptions options;
@@ -149,9 +151,9 @@ struct EngineConfig {
   // ----- durable update log (optional) -----
   // Non-empty: ApplyUpdates appends each batch to an epoch-segmented
   // WAL under this directory and acknowledges only after the record is
-  // fsync-durable (see storage/wal.h). For kSnapshotDir and kArena
-  // sources, Open additionally replays every committed WAL batch past
-  // the recovered epoch (two-phase recovery); other sources attach a
+  // fsync-durable (see storage/wal.h). For a kArena source, Open
+  // additionally replays every committed WAL batch past the arena's
+  // epoch (two-phase recovery); other sources attach a
   // fresh log at the current epoch without replaying — their dataset
   // is caller-supplied and need not match any logged history, so the
   // directory should be fresh or recovered-from.
@@ -160,7 +162,7 @@ struct EngineConfig {
   FaultInjector* wal_injector = nullptr; // non-owning; may be null
 
   // Chains onto a factory:
-  //   GirEngine::Open(EngineConfig::FromSnapshotDir(dir, &disk, scoring)
+  //   GirEngine::Open(EngineConfig::FromArena(dir, &disk, scoring)
   //                       .WithWal(wal_dir));
   EngineConfig&& WithWal(std::string dir, WalOptions wal_options = {},
                          FaultInjector* injector = nullptr) && {
@@ -201,17 +203,6 @@ struct EngineConfig {
     EngineConfig c;
     c.source = Source::kCsv;
     c.path = std::move(path);
-    c.disk = disk;
-    c.scoring = std::move(scoring);
-    c.options = options;
-    return c;
-  }
-  static EngineConfig FromSnapshotDir(std::string dir, DiskManager* disk,
-                                      std::unique_ptr<ScoringFunction> scoring,
-                                      GirEngineOptions options = {}) {
-    EngineConfig c;
-    c.source = Source::kSnapshotDir;
-    c.path = std::move(dir);
     c.disk = disk;
     c.scoring = std::move(scoring);
     c.options = options;
@@ -384,15 +375,16 @@ class GirEngine {
   // and wal_truncated comes back false. Serialized with ApplyUpdates.
   Result<CheckpointStats> Checkpoint(SnapshotStore* store);
 
-  // Arena-backed engines only (Open with a kArena source): swaps the
-  // served epoch to the arena file at `path` — mmap the new file,
-  // validate it end to end, publish it with one atomic pointer swap.
+  // Read-only arena engines only (Open with a kArena source and no
+  // WAL): swaps the served epoch to the arena file at `path` — mmap the
+  // new file, validate it end to end, publish it with one atomic
+  // pointer swap.
   // In-flight readers finish on the mapping they pinned; the old file
   // is munmapped when the last of them drains. This is the replica
   // epoch-advance path: a follower serves arena epoch N while a leader
   // publishes N+1 via SnapshotStore::WriteArena, then the follower
   // advances with no rebuild and no reader stall. Returns the new
-  // epoch's version; FailedPrecondition on a non-arena engine,
+  // epoch's version; FailedPrecondition on an updatable engine,
   // DataLoss/NotFound/InvalidArgument when the file is damaged,
   // missing, or from a different dataset shape.
   Result<uint64_t> AdvanceToArena(const std::string& path);
@@ -403,8 +395,8 @@ class GirEngine {
   }
 
   // True when the engine keeps a mutable master R*-tree (every source
-  // except kArena). Arena engines serve the frozen image only; tree()
-  // must not be called on them.
+  // except a kArena opened without a WAL). Read-only arena engines
+  // serve the frozen image only; tree() must not be called on them.
   bool has_master_tree() const { return tree_.has_value(); }
   const RTree& tree() const { return *tree_; }
   // The currently-published frozen image. The reference stays valid
@@ -445,13 +437,13 @@ class GirEngine {
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Restore path: adopts recovered state instead of bulk-loading.
+  // Restore path: adopts a thawed master instead of bulk-loading.
   GirEngine(std::unique_ptr<Dataset> owned, RTree tree, uint64_t version,
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Arena path: serves straight from the mapping — no master tree, no
-  // refreeze, read-only. `flat` must be FromArena over `dataset`, which
+  // Read-only arena path: serves straight from the mapping — no master
+  // tree, no refreeze. `flat` must be FromArena over `dataset`, which
   // the published snapshot takes ownership of.
   GirEngine(std::shared_ptr<const Dataset> dataset, FlatRTree flat,
             uint64_t version, DiskManager* disk,

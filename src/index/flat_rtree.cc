@@ -152,6 +152,39 @@ Result<FlatRTree> FlatRTree::FromArena(
   return flat;
 }
 
+Result<RTree> FlatRTree::Thaw(const Dataset* dataset,
+                              DiskManager* disk) const {
+  if (dataset == nullptr || disk == nullptr) {
+    return Status::InvalidArgument("Thaw needs a dataset and a disk");
+  }
+  if (dataset->dim() != dim_) {
+    return Status::InvalidArgument(
+        "dataset dimensionality does not match the image");
+  }
+  if (RTree(dataset, disk).Capacity() != capacity_) {
+    return Status::InvalidArgument(
+        "disk page size does not match the image's node capacity");
+  }
+  if (disk->allocated_pages() != 0) {
+    return Status::FailedPrecondition(
+        "Thaw needs a disk with no allocated pages");
+  }
+  std::vector<RTreeNode> nodes(meta_.size());
+  for (size_t p = 0; p < nodes.size(); ++p) {
+    const NodeView view = PeekNode(static_cast<PageId>(p));
+    RTreeNode& node = nodes[p];
+    node.is_leaf = view.is_leaf();
+    node.level = view.level();
+    node.entries.resize(view.count());
+    for (size_t e = 0; e < view.count(); ++e) {
+      node.entries[e].child = view.child(e);
+      view.EntryMbbInto(e, &node.entries[e].mbb);
+    }
+  }
+  return RTree::FromParts(dataset, disk, std::move(nodes), root_,
+                          record_count_);
+}
+
 size_t FlatRTree::height() const {
   if (root_ == kInvalidPage) return 0;
   return static_cast<size_t>(meta_[root_].level) + 1;

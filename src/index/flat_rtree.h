@@ -13,7 +13,8 @@
 namespace gir {
 
 // Read-only, cache-friendly image of an RTree, produced by Freeze() —
-// or mapped straight from an on-disk arena file by FromArena().
+// or mapped straight from an on-disk arena file by FromArena(). Thaw()
+// turns an image back into the mutable tree.
 //
 // The mutable tree stores one heap-allocated std::vector<RTreeEntry> per
 // node with AoS Mbb objects, which defeats locality and vectorization on
@@ -136,6 +137,19 @@ class FlatRTree {
   static Result<FlatRTree> FromArena(std::shared_ptr<const ArenaFile> arena,
                                      const Dataset* dataset,
                                      DiskManager* disk);
+
+  // Inverse of Freeze: rebuilds the updatable master R*-tree from this
+  // image's nodes through RTree::FromParts. Page ids stay 1:1, so the
+  // thawed tree refreezes to the same bytes, and slots unreachable from
+  // the root (pages a pre-persist Delete dissolved) go back on the free
+  // list. This is how a writer restarts from an arena file: `dataset`
+  // becomes the tree's master (the records the image was frozen
+  // against, e.g. ArenaFile::BuildDataset) and must outlive the tree.
+  // `disk` must hold no pages yet, since the thaw allocates one per
+  // node slot. InvalidArgument when the dataset's dimensionality or the
+  // disk's page size does not match the image; FailedPrecondition on a
+  // disk that already holds pages.
+  Result<RTree> Thaw(const Dataset* dataset, DiskManager* disk) const;
 
   // Node access, charging one simulated page read (same accounting as
   // RTree::ReadNode). Accounting-only and infallible — used by the

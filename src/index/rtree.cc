@@ -53,7 +53,12 @@ PageId RTree::NewNode(bool is_leaf, int level) {
 
 void RTree::FreeNode(PageId page) {
   nodes_[page].entries.clear();
-  free_pages_.push_back(page);
+  // Kept sorted, so NewNode's reuse order (highest id first) depends
+  // only on which pages are free, not on the order they were freed: a
+  // tree rebuilt from a persisted image (FromParts) then hands out
+  // exactly the page ids the original would have.
+  free_pages_.insert(
+      std::upper_bound(free_pages_.begin(), free_pages_.end(), page), page);
 }
 
 const RTreeNode& RTree::ReadNode(PageId page) const {
@@ -553,9 +558,10 @@ RTree RTree::FromParts(const Dataset* dataset, DiskManager* disk,
   tree.record_count_ = record_count;
   tree.bulk_loaded_ = true;  // fill invariants are unknown; be lenient
   // Recover the free list: pages a pre-persist Delete dissolved are
-  // exactly the ones unreachable from the root (the codec serializes
-  // every page slot to keep ids stable). Without this, churn on a
-  // restored tree would leak those slots forever.
+  // exactly the ones unreachable from the root (a persisted image keeps
+  // every page slot so ids stay stable). Without this, churn on a
+  // restored tree would leak those slots forever. Ascending order is
+  // the sorted order FreeNode maintains.
   std::vector<bool> reachable(tree.nodes_.size(), false);
   if (tree.root_ != kInvalidPage) {
     std::vector<PageId> stack = {tree.root_};
@@ -565,6 +571,7 @@ RTree RTree::FromParts(const Dataset* dataset, DiskManager* disk,
       stack.pop_back();
       if (node.is_leaf) continue;
       for (const RTreeEntry& e : node.entries) {
+        if (reachable[e.child]) continue;  // a damaged image's cycle
         reachable[e.child] = true;
         stack.push_back(static_cast<PageId>(e.child));
       }

@@ -72,11 +72,11 @@ class RTree {
   static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
                         const RTreeOptions& options = {});
 
-  // Reassembles a tree from explicit nodes (used by the page codec when
-  // restoring a persisted image; not part of the query API). Page ids
-  // are re-allocated densely in node order; pages unreachable from the
-  // root (slots a pre-persist Delete dissolved) are recovered onto the
-  // free list.
+  // Reassembles a tree from explicit nodes (used by FlatRTree::Thaw
+  // when restoring a persisted arena; not part of the query API). Page
+  // ids are re-allocated densely in node order; pages unreachable from
+  // the root (slots a pre-persist Delete dissolved) are recovered onto
+  // the free list.
   static RTree FromParts(const Dataset* dataset, DiskManager* disk,
                          std::vector<RTreeNode> nodes, PageId root,
                          size_t record_count);
@@ -137,7 +137,8 @@ class RTree {
   size_t capacity_;
   size_t min_entries_;
   std::vector<RTreeNode> nodes_;
-  std::vector<PageId> free_pages_;  // dissolved by CondenseTree, reusable
+  // Dissolved by CondenseTree, reusable; sorted ascending.
+  std::vector<PageId> free_pages_;
   PageId root_ = kInvalidPage;
   size_t record_count_ = 0;
   bool bulk_loaded_ = false;

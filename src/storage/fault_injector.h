@@ -28,7 +28,7 @@ struct FaultPlan {
   double read_latency_rate = 0.0;
   double latency_spike_ms = 0.0;
 
-  // ----- snapshot publishes (SnapshotStore::WriteSnapshot) -----
+  // ----- arena publishes (SnapshotStore::WriteArena, ShipArenaFrom) -----
   // Probability the published file is truncated mid-section (a crash
   // between rename and data reaching the platter: the name exists, the
   // tail bytes do not).

@@ -4,7 +4,7 @@
 // gets exactly one explicit outcome (conservation), every *served*
 // result is bit-identical to the fault-free reference — degradation is
 // allowed, wrong answers and silent drops are not — and a fixed plan
-// replays the same fault schedule run after run. A snapshot-recovery
+// replays the same fault schedule run after run. An arena-recovery
 // epilogue then proves the post-chaos engine state survives a crash.
 // GIR_CHAOS_STRESS=1 (the stress-labeled CTest variant) scales the
 // schedule up ~6x.
@@ -20,7 +20,8 @@
 #include "dataset/generators.h"
 #include "gir/batch_engine.h"
 #include "gir/engine.h"
-#include "index/rtree_codec.h"
+#include "index/flat_rtree.h"
+#include "storage/arena_file.h"
 #include "serve/replay.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
@@ -40,6 +41,13 @@ class TierGuard {
  private:
   simd::Tier saved_;
 };
+
+// The master tree's page image: the arena image of the tree frozen over
+// its own dataset.
+std::vector<uint8_t> MasterImage(const GirEngine& engine) {
+  return BuildArenaImage(FlatRTree::Freeze(engine.tree()),
+                         engine.dataset_version());
+}
 
 bool StressMode() {
   const char* env = std::getenv("GIR_CHAOS_STRESS");
@@ -208,7 +216,7 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
   ASSERT_TRUE(trace.ok());
 
   // Run the chaos trace to mutate the engine through many epochs, then
-  // snapshot the survivor state.
+  // persist the survivor state as an arena.
   Dataset data = FreshData(trace->config);
   DiskManager disk;
   auto engine = OpenEngineOrDie(
@@ -235,18 +243,22 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
           .string();
   std::filesystem::remove_all(dir);
   SnapshotStore store(dir);
-  ASSERT_TRUE(store
-                  .WriteSnapshot(engine->dataset(), engine->tree(),
-                                 engine->dataset_version())
-                  .ok());
+  ASSERT_TRUE(
+      store.WriteArena(engine->flat_tree(), engine->dataset_version()).ok());
 
-  // "Crash", recover, and serve: the restored engine answers every
-  // probe bit-identically — including the simulated I/O charged.
+  // "Crash", recover a writer, and serve: the thawed master has the
+  // pre-crash page image, and the restored engine answers every probe
+  // bit-identically — including the simulated I/O charged.
+  const std::string wal_dir = dir + "_wal";
+  std::filesystem::remove_all(wal_dir);
   DiskManager disk2;
-  auto restored = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      dir, &disk2, MakeScoring("Linear", trace->config.dim)));
+  auto restored = OpenEngineOrDie(
+      EngineConfig::FromArena(dir, &disk2,
+                              MakeScoring("Linear", trace->config.dim))
+          .WithWal(wal_dir));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->dataset_version(), engine->dataset_version());
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
   Rng rng(31);
   for (int probe = 0; probe < 10; ++probe) {
     Vec w(trace->config.dim);
@@ -266,7 +278,7 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
 // WAL crash-point sweep: a single injected fault — torn append, corrupt
 // append, or fsync EIO — is walked across every commit ordinal (killing
 // the writer before, during and after each group commit in turn). For
-// every crash point, recovery from snapshot + WAL must reproduce
+// every crash point, recovery from arena + WAL must reproduce
 // exactly the acknowledged prefix: every acked batch survives
 // bit-identically, no batch whose ack failed is ever replayed.
 TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
@@ -326,8 +338,7 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
           EngineConfig::FromDataset(&*data, &disk, MakeScoring("Linear", d))
               .WithWal(wal_dir, WalOptions{}, &fi));
       SnapshotStore store(snap_dir);
-      ASSERT_TRUE(
-          store.WriteSnapshot(engine->dataset(), engine->tree(), 0).ok());
+      ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 0).ok());
 
       uint64_t acked = 0;
       for (uint64_t e = 1; e <= epochs; ++e) {
@@ -357,10 +368,10 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
       // nothing else, bit-identically.
       DiskManager disk2;
       auto restored = OpenEngineOrDie(
-          EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                        MakeScoring("Linear", d))
+          EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
               .WithWal(wal_dir));
       EXPECT_EQ(restored->dataset_version(), acked);
+      EXPECT_EQ(MasterImage(*reference), MasterImage(*restored));
       const Dataset& want = reference->dataset();
       const Dataset& got = restored->dataset();
       ASSERT_EQ(got.size(), want.size());
@@ -383,6 +394,7 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
         ASSERT_TRUE(b.ok());
         EXPECT_EQ(a->topk.result, b->topk.result);
         EXPECT_EQ(a->topk.scores, b->topk.scores);
+        EXPECT_EQ(a->topk.io.reads, b->topk.io.reads);
       }
     }
   }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/flags.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -41,6 +43,21 @@ TEST(ResultTest, HoldsError) {
   Result<int> r = Status::NotFound("nope");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+// Reading the value of an error is a bug at the call site; it must stop
+// the process with the status in view in every build type, never hand
+// back an empty optional's bytes.
+TEST(ResultDeathTest, ValueOfAnErrorAbortsWithTheStatus) {
+  Result<int> r = Status::NotFound("nope");
+  EXPECT_DEATH(
+      { [[maybe_unused]] int v = r.value(); },
+      "Result::value\\(\\) on an error: NOT_FOUND: nope");
+  Result<std::string> moved = Status::DataLoss("torn");
+  EXPECT_DEATH(
+      { [[maybe_unused]] std::string v = std::move(moved).value(); },
+      "DATA_LOSS: torn");
+  EXPECT_DEATH({ [[maybe_unused]] size_t n = moved->size(); }, "DATA_LOSS");
 }
 
 TEST(RngTest, DeterministicForSeed) {

@@ -1,8 +1,9 @@
-// Crash-safety contract of the snapshot store: a recovered epoch is
-// bit-identical to the saved one (coordinates, tombstones, tree page
-// image — hence simulated I/O and query output), recovery always picks
-// the newest *valid* snapshot, and torn or corrupted files are rejected
-// by checksum instead of trusted.
+// Crash-safety contract of the snapshot store: a recovered arena epoch
+// is bit-identical to the saved one (coordinates, tombstones, the master
+// tree's page image once thawed — hence simulated I/O and query output),
+// recovery always picks the newest *valid* arena, torn or corrupted
+// files are rejected by checksum instead of trusted, and retention never
+// widens the data-loss window.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +17,8 @@
 
 #include "dataset/generators.h"
 #include "gir/engine.h"
-#include "index/rtree_codec.h"
+#include "index/flat_rtree.h"
+#include "storage/arena_file.h"
 #include "storage/disk_manager.h"
 #include "storage/snapshot_store.h"
 #include "topk/scoring.h"
@@ -55,14 +57,31 @@ void ExpectSameDataset(const Dataset& a, const Dataset& b) {
   }
 }
 
+// The master tree's page image: the arena image of the tree frozen over
+// its own dataset.
+std::vector<uint8_t> MasterImage(const GirEngine& engine) {
+  return BuildArenaImage(FlatRTree::Freeze(engine.tree()),
+                         engine.dataset_version());
+}
+
+// Reopens `dir` as a writer: thaw the newest valid arena and attach a
+// fresh WAL (nothing to replay).
+std::unique_ptr<GirEngine> OpenWriter(const std::string& dir,
+                                      const std::string& wal_name,
+                                      DiskManager* disk, size_t dim) {
+  return OpenEngineOrDie(
+      EngineConfig::FromArena(dir, disk, MakeScoring("Linear", dim))
+          .WithWal(FreshDir(wal_name)));
+}
+
 TEST(SnapshotStoreTest, RoundTripIsBitIdentical) {
   Dataset data = FreshData();
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
 
-  // Mutate once so tombstones and a non-zero epoch are part of the
-  // image being persisted.
+  // Mutate once so tombstones, freed pages and a non-zero epoch are
+  // part of the image being persisted.
   UpdateBatch batch;
   batch.deletes = {3, 17, 42};
   batch.inserts = {{0.21, 0.84, 0.33}, {0.55, 0.12, 0.97}};
@@ -70,36 +89,29 @@ TEST(SnapshotStoreTest, RoundTripIsBitIdentical) {
   ASSERT_EQ(engine->dataset_version(), 1u);
 
   SnapshotStore store(FreshDir("snap_roundtrip"));
-  auto wrote = store.WriteSnapshot(engine->dataset(), engine->tree(),
-                                   engine->dataset_version());
+  auto wrote = store.WriteArena(engine->flat_tree(), engine->dataset_version());
   ASSERT_TRUE(wrote.ok()) << wrote.status().message();
   EXPECT_EQ(wrote->injected, FaultInjector::WriteFault::kNone);
   EXPECT_GT(wrote->bytes, 0u);
   EXPECT_TRUE(std::filesystem::exists(wrote->path));
 
+  auto pick = store.RecoverLatestArena();
+  ASSERT_TRUE(pick.ok()) << pick.status().message();
+  EXPECT_EQ(pick->version, 1u);
+  EXPECT_EQ(pick->scanned, 1u);
+  EXPECT_EQ(pick->rejected, 0u);
+  auto rows = pick->file->BuildDataset();
+  ASSERT_TRUE(rows.ok());
+  ExpectSameDataset(engine->dataset(), **rows);
+
+  // The thawed master tree has the saved page image 1:1, and so the
+  // writer answers queries bit-identically, down to the simulated I/O
+  // charged.
   DiskManager disk2;
-  auto rec = store.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok()) << rec.status().message();
-  EXPECT_EQ(rec->version, 1u);
-  EXPECT_EQ(rec->scanned, 1u);
-  EXPECT_EQ(rec->rejected, 0u);
-  ExpectSameDataset(engine->dataset(), *rec->dataset);
-
-  // The recovered master tree has the saved page image 1:1.
-  auto img_before = SaveRTreeImage(engine->tree());
-  auto img_after = SaveRTreeImage(*rec->tree);
-  ASSERT_TRUE(img_before.ok());
-  ASSERT_TRUE(img_after.ok());
-  EXPECT_EQ(*img_before, *img_after);
-
-  // And so a restored engine answers queries bit-identically, down to
-  // the simulated I/O charged. Open runs its own recovery scan on a
-  // fresh disk so the page image loads exactly once per DiskManager.
-  DiskManager disk3;
-  auto restored = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      store.dir(), &disk3, MakeScoring("Linear", engine->dataset().dim())));
-  ASSERT_NE(restored, nullptr);
+  auto restored = OpenWriter(store.dir(), "snap_roundtrip_wal", &disk2,
+                             engine->dataset().dim());
   EXPECT_EQ(restored->dataset_version(), 1u);
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
   const Vec w = {0.5, 0.3, 0.2};
   auto before = engine->ComputeGir(w, 10, Phase2Method::kFP);
   auto after = restored->ComputeGir(w, 10, Phase2Method::kFP);
@@ -121,49 +133,19 @@ TEST(SnapshotStoreTest, NewestValidVersionWins) {
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
   SnapshotStore store(FreshDir("snap_newest"));
   for (uint64_t v : {4u, 9u, 2u}) {
-    ASSERT_TRUE(store.WriteSnapshot(engine->dataset(), engine->tree(), v).ok());
+    ASSERT_TRUE(store.WriteArena(engine->flat_tree(), v).ok());
   }
-  DiskManager disk2;
-  auto rec = store.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->version, 9u);
-  EXPECT_EQ(rec->scanned, 3u);
-  EXPECT_EQ(rec->rejected, 0u);
-  EXPECT_NE(rec->path.find(SnapshotStore::FileName(9)), std::string::npos);
+  auto pick = store.RecoverLatestArena();
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(pick->version, 9u);
+  EXPECT_EQ(pick->scanned, 3u);
+  EXPECT_EQ(pick->rejected, 0u);
+  EXPECT_NE(pick->path.find(SnapshotStore::ArenaFileName(9)),
+            std::string::npos);
 }
 
-TEST(SnapshotStoreTest, TornWriteIsRejectedAndOlderEpochSurvives) {
-  Dataset data = FreshData(200);
-  DiskManager disk;
-  auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
-  const std::string dir = FreshDir("snap_torn");
-
-  SnapshotStore clean(dir);
-  ASSERT_TRUE(clean.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
-
-  FaultPlan plan;
-  plan.seed = 31;
-  plan.torn_write_rate = 1.0;
-  FaultInjector fi(plan);
-  SnapshotStore faulty(dir, &fi);
-  auto wrote = faulty.WriteSnapshot(engine->dataset(), engine->tree(), 2);
-  // The write itself reports success — a crashed publish does not
-  // announce itself; detection is recovery's job.
-  ASSERT_TRUE(wrote.ok());
-  EXPECT_EQ(wrote->injected, FaultInjector::WriteFault::kTorn);
-  EXPECT_LT(std::filesystem::file_size(wrote->path), wrote->bytes);
-  EXPECT_EQ(fi.torn_writes(), 1u);
-
-  DiskManager disk2;
-  auto rec = clean.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok()) << rec.status().message();
-  EXPECT_EQ(rec->version, 1u);
-  EXPECT_EQ(rec->scanned, 2u);
-  EXPECT_EQ(rec->rejected, 1u);
-  ExpectSameDataset(engine->dataset(), *rec->dataset);
-}
-
+// Torn fallback is pinned by ArenaMmapTest.TornArenaIsRejectedAndRecoverySkipsIt;
+// this is its corrupt-byte twin with an intact older epoch to fall to.
 TEST(SnapshotStoreTest, CorruptedPayloadIsRejectedByChecksum) {
   Dataset data = FreshData(200);
   DiskManager disk;
@@ -172,45 +154,47 @@ TEST(SnapshotStoreTest, CorruptedPayloadIsRejectedByChecksum) {
   const std::string dir = FreshDir("snap_corrupt");
 
   SnapshotStore clean(dir);
-  ASSERT_TRUE(clean.WriteSnapshot(engine->dataset(), engine->tree(), 5).ok());
+  ASSERT_TRUE(clean.WriteArena(engine->flat_tree(), 5).ok());
 
   FaultPlan plan;
   plan.seed = 32;
   plan.corrupt_rate = 1.0;
   FaultInjector fi(plan);
   SnapshotStore faulty(dir, &fi);
-  auto wrote = faulty.WriteSnapshot(engine->dataset(), engine->tree(), 6);
+  auto wrote = faulty.WriteArena(engine->flat_tree(), 6);
   ASSERT_TRUE(wrote.ok());
   EXPECT_EQ(wrote->injected, FaultInjector::WriteFault::kCorrupt);
   // Same size as the intact file — only a checksum can tell.
   EXPECT_EQ(std::filesystem::file_size(wrote->path), wrote->bytes);
   EXPECT_EQ(fi.corrupt_writes(), 1u);
 
+  auto pick = clean.RecoverLatestArena();
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(pick->version, 5u);
+  EXPECT_EQ(pick->rejected, 1u);
   DiskManager disk2;
-  auto rec = clean.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->version, 5u);
-  EXPECT_EQ(rec->rejected, 1u);
+  auto restored = OpenWriter(dir, "snap_corrupt_wal", &disk2, data.dim());
+  EXPECT_EQ(restored->dataset_version(), 5u);
 }
 
 TEST(SnapshotStoreTest, EmptyOrAllInvalidDirectoryIsNotFound) {
   const std::string dir = FreshDir("snap_empty");
   std::filesystem::create_directories(dir);
   SnapshotStore store(dir);
-  DiskManager disk;
-  auto rec = store.RecoverLatest(&disk);
-  ASSERT_FALSE(rec.ok());
-  EXPECT_EQ(rec.status().code(), StatusCode::kNotFound);
+  auto pick = store.RecoverLatestArena();
+  ASSERT_FALSE(pick.ok());
+  EXPECT_EQ(pick.status().code(), StatusCode::kNotFound);
 
-  // A directory holding only garbage under the snapshot naming scheme
-  // is equally unrecoverable — but the rejection is counted.
+  // A directory holding only garbage under the arena naming scheme is
+  // equally unrecoverable — but the rejection is counted.
   std::ofstream junk(std::filesystem::path(dir) /
-                     SnapshotStore::FileName(7));
-  junk << "this is not a snapshot";
+                     SnapshotStore::ArenaFileName(7));
+  junk << "this is not an arena";
   junk.close();
-  rec = store.RecoverLatest(&disk);
-  ASSERT_FALSE(rec.ok());
-  EXPECT_EQ(rec.status().code(), StatusCode::kNotFound);
+  pick = store.RecoverLatestArena();
+  ASSERT_FALSE(pick.ok());
+  EXPECT_EQ(pick.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(pick.status().message().find("1 rejected"), std::string::npos);
 }
 
 TEST(SnapshotStoreTest, RestoredEngineContinuesTheEpochSequence) {
@@ -225,13 +209,11 @@ TEST(SnapshotStoreTest, RestoredEngineContinuesTheEpochSequence) {
   ASSERT_EQ(engine->dataset_version(), 2u);
 
   SnapshotStore store(FreshDir("snap_continue"));
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 2).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 2).ok());
 
   DiskManager disk2;
-  auto restored = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      store.dir(), &disk2, MakeScoring("Linear", engine->dataset().dim())));
-  ASSERT_NE(restored, nullptr);
+  auto restored = OpenWriter(store.dir(), "snap_continue_wal", &disk2,
+                             engine->dataset().dim());
   ASSERT_EQ(restored->dataset_version(), 2u);
 
   // The next update publishes epoch 3, exactly as the pre-crash engine
@@ -245,8 +227,9 @@ TEST(SnapshotStoreTest, RestoredEngineContinuesTheEpochSequence) {
   auto up_original = engine->ApplyUpdates(next);
   ASSERT_TRUE(up_original.ok());
 
-  // And both timelines remain bit-identical.
+  // And both timelines remain bit-identical, page image included.
   ExpectSameDataset(engine->dataset(), restored->dataset());
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
   const Vec w = {0.2, 0.5, 0.3};
   auto a = engine->ComputeGir(w, 8, Phase2Method::kFP);
   auto b = restored->ComputeGir(w, 8, Phase2Method::kFP);
@@ -257,17 +240,16 @@ TEST(SnapshotStoreTest, RestoredEngineContinuesTheEpochSequence) {
   EXPECT_EQ(a->topk.io.reads, b->topk.io.reads);
 }
 
-// Keep-last-N retention reclaims old epochs per format, never the
-// newest valid one — even at keep_last_n == 1 — and keep_last_n == 0
-// is refused outright.
-TEST(SnapshotStoreTest, GarbageCollectKeepsLastNPerFormat) {
+// Keep-last-N retention reclaims old epochs, never the newest valid
+// one — even at keep_last_n == 1 — and keep_last_n == 0 is refused
+// outright.
+TEST(SnapshotStoreTest, GarbageCollectKeepsLastN) {
   Dataset data = FreshData(200);
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
   SnapshotStore store(FreshDir("snap_gc"));
   for (uint64_t v = 1; v <= 5; ++v) {
-    ASSERT_TRUE(store.WriteSnapshot(engine->dataset(), engine->tree(), v).ok());
     ASSERT_TRUE(store.WriteArena(engine->flat_tree(), v).ok());
   }
 
@@ -277,38 +259,28 @@ TEST(SnapshotStoreTest, GarbageCollectKeepsLastNPerFormat) {
 
   auto gc = store.GarbageCollect(2);
   ASSERT_TRUE(gc.ok()) << gc.status().message();
-  EXPECT_EQ(gc->removed_snapshots, 3u);
   EXPECT_EQ(gc->removed_arenas, 3u);
-  EXPECT_EQ(gc->kept, 4u);
+  EXPECT_EQ(gc->kept, 2u);
   for (uint64_t v = 1; v <= 3; ++v) {
-    EXPECT_FALSE(std::filesystem::exists(
-        std::filesystem::path(store.dir()) / SnapshotStore::FileName(v)));
     EXPECT_FALSE(std::filesystem::exists(
         std::filesystem::path(store.dir()) / SnapshotStore::ArenaFileName(v)));
   }
 
-  // Both formats still recover their newest epoch after the sweep.
-  DiskManager disk2;
-  auto rec = store.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->version, 5u);
+  // The newest epoch still recovers after the sweep.
   auto pick = store.RecoverLatestArena();
   ASSERT_TRUE(pick.ok());
   EXPECT_EQ(pick->version, 5u);
 
-  // keep_last_n == 1 trims to exactly the newest valid epoch of each
-  // format, and an idempotent re-run removes nothing further.
+  // keep_last_n == 1 trims to exactly the newest valid epoch, and an
+  // idempotent re-run removes nothing further.
   auto gc1 = store.GarbageCollect(1);
   ASSERT_TRUE(gc1.ok());
-  EXPECT_EQ(gc1->removed_snapshots, 1u);
   EXPECT_EQ(gc1->removed_arenas, 1u);
   auto gc_again = store.GarbageCollect(1);
   ASSERT_TRUE(gc_again.ok());
-  EXPECT_EQ(gc_again->removed_snapshots, 0u);
   EXPECT_EQ(gc_again->removed_arenas, 0u);
-  EXPECT_EQ(gc_again->kept, 2u);
-  DiskManager disk3;
-  ASSERT_TRUE(store.RecoverLatest(&disk3).ok());
+  EXPECT_EQ(gc_again->kept, 1u);
+  ASSERT_TRUE(store.RecoverLatestArena().ok());
 }
 
 // A damaged file newer than the newest valid epoch does not count as
@@ -322,15 +294,15 @@ TEST(SnapshotStoreTest, GarbageCollectNeverWidensTheDataLossWindow) {
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
   const std::string dir = FreshDir("snap_gc_torn");
   SnapshotStore clean(dir);
-  ASSERT_TRUE(clean.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
-  ASSERT_TRUE(clean.WriteSnapshot(engine->dataset(), engine->tree(), 2).ok());
+  ASSERT_TRUE(clean.WriteArena(engine->flat_tree(), 1).ok());
+  ASSERT_TRUE(clean.WriteArena(engine->flat_tree(), 2).ok());
 
   FaultPlan plan;
   plan.seed = 53;
   plan.torn_write_rate = 1.0;
   FaultInjector fi(plan);
   SnapshotStore faulty(dir, &fi);
-  auto torn = faulty.WriteSnapshot(engine->dataset(), engine->tree(), 3);
+  auto torn = faulty.WriteArena(engine->flat_tree(), 3);
   ASSERT_TRUE(torn.ok());
   ASSERT_EQ(torn->injected, FaultInjector::WriteFault::kTorn);
 
@@ -338,18 +310,17 @@ TEST(SnapshotStoreTest, GarbageCollectNeverWidensTheDataLossWindow) {
   ASSERT_TRUE(gc.ok());
   // v1 (valid, older than newest valid v2, beyond keep=1) goes; v2 is
   // the newest valid and stays; torn v3 is newer than v2 and stays.
-  EXPECT_EQ(gc->removed_snapshots, 1u);
+  EXPECT_EQ(gc->removed_arenas, 1u);
   EXPECT_EQ(gc->kept, 2u);
   EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) /
-                                      SnapshotStore::FileName(2)));
+                                      SnapshotStore::ArenaFileName(2)));
   EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) /
-                                      SnapshotStore::FileName(3)));
+                                      SnapshotStore::ArenaFileName(3)));
 
-  DiskManager disk2;
-  auto rec = clean.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok()) << rec.status().message();
-  EXPECT_EQ(rec->version, 2u);
-  EXPECT_EQ(rec->rejected, 1u);
+  auto pick = clean.RecoverLatestArena();
+  ASSERT_TRUE(pick.ok()) << pick.status().message();
+  EXPECT_EQ(pick->version, 2u);
+  EXPECT_EQ(pick->rejected, 1u);
 }
 
 // GC racing recovery: a writer keeps publishing epochs and trimming to
@@ -368,7 +339,7 @@ TEST(SnapshotStoreTest, GarbageCollectRacingRecoveryAlwaysServesAnEpoch) {
   std::thread writer([&] {
     SnapshotStore store(dir);
     for (uint64_t v = 1; v <= kEpochs; ++v) {
-      auto wrote = store.WriteSnapshot(engine->dataset(), engine->tree(), v);
+      auto wrote = store.WriteArena(engine->flat_tree(), v);
       EXPECT_TRUE(wrote.ok()) << wrote.status().message();
       published.store(v, std::memory_order_release);
       auto gc = store.GarbageCollect(3);
@@ -383,81 +354,21 @@ TEST(SnapshotStoreTest, GarbageCollectRacingRecoveryAlwaysServesAnEpoch) {
   uint64_t last_seen = 0;
   size_t recoveries = 0;
   while (published.load(std::memory_order_acquire) < kEpochs) {
-    DiskManager scratch;
-    auto rec = reader.RecoverLatest(&scratch);
-    ASSERT_TRUE(rec.ok()) << rec.status().message();
-    EXPECT_GE(rec->version, last_seen);
-    last_seen = rec->version;
+    auto pick = reader.RecoverLatestArena();
+    ASSERT_TRUE(pick.ok()) << pick.status().message();
+    EXPECT_GE(pick->version, last_seen);
+    last_seen = pick->version;
     ++recoveries;
   }
   writer.join();
 
   EXPECT_GT(recoveries, 0u);
-  DiskManager disk2;
-  auto final_rec = reader.RecoverLatest(&disk2);
-  ASSERT_TRUE(final_rec.ok());
-  EXPECT_EQ(final_rec->version, kEpochs);
-  ExpectSameDataset(engine->dataset(), *final_rec->dataset);
-}
-
-// A directory holding both formats: each recovery path scans only its
-// own format, so the newest valid epoch wins independently per format
-// — arenas do not shadow snapshots or vice versa.
-TEST(SnapshotStoreTest, MixedFormatDirectoryRecoversNewestValidPerFormat) {
-  Dataset data = FreshData(200);
-  DiskManager disk;
-  auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
-  const std::string dir = FreshDir("snap_mixed");
-  SnapshotStore store(dir);
-  for (uint64_t v : {1u, 2u, 3u}) {
-    ASSERT_TRUE(store.WriteSnapshot(engine->dataset(), engine->tree(), v).ok());
-  }
-  for (uint64_t v : {2u, 4u}) {
-    ASSERT_TRUE(store.WriteArena(engine->flat_tree(), v).ok());
-  }
-
-  DiskManager disk2;
-  auto rec = store.RecoverLatest(&disk2);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->version, 3u);
-  EXPECT_EQ(rec->scanned, 3u);  // arena files are not snapshot candidates
-
-  auto pick = store.RecoverLatestArena();
-  ASSERT_TRUE(pick.ok());
-  EXPECT_EQ(pick->version, 4u);
-  EXPECT_EQ(pick->scanned, 2u);  // snapshot files are not arena candidates
-
-  // Tearing the newest arena only moves the arena pick back to its
-  // older valid epoch; snapshot recovery is untouched.
-  FaultPlan plan;
-  plan.seed = 59;
-  plan.torn_write_rate = 1.0;
-  FaultInjector fi(plan);
-  SnapshotStore faulty(dir, &fi);
-  auto torn = faulty.WriteArena(engine->flat_tree(), 5);
-  ASSERT_TRUE(torn.ok());
-  ASSERT_EQ(torn->injected, FaultInjector::WriteFault::kTorn);
-
-  auto pick2 = store.RecoverLatestArena();
-  ASSERT_TRUE(pick2.ok());
-  EXPECT_EQ(pick2->version, 4u);
-  EXPECT_EQ(pick2->rejected, 1u);
-  DiskManager disk3;
-  auto rec2 = store.RecoverLatest(&disk3);
-  ASSERT_TRUE(rec2.ok());
-  EXPECT_EQ(rec2->version, 3u);
-  EXPECT_EQ(rec2->rejected, 0u);
-
-  // The engine-level open paths agree with the store-level picks.
-  DiskManager disk4;
-  auto from_snap = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      dir, &disk4, MakeScoring("Linear", data.dim())));
-  EXPECT_EQ(from_snap->dataset_version(), 3u);
-  DiskManager disk5;
-  auto from_arena = OpenEngineOrDie(EngineConfig::FromArena(
-      dir, &disk5, MakeScoring("Linear", data.dim())));
-  EXPECT_EQ(from_arena->dataset_version(), 4u);
+  auto final_pick = reader.RecoverLatestArena();
+  ASSERT_TRUE(final_pick.ok());
+  EXPECT_EQ(final_pick->version, kEpochs);
+  auto rows = final_pick->file->BuildDataset();
+  ASSERT_TRUE(rows.ok());
+  ExpectSameDataset(engine->dataset(), **rows);
 }
 
 }  // namespace

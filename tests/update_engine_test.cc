@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,11 +17,11 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/batch_engine.h"
-#include "gir/cache.h"
 #include "gir/engine.h"
 #include "gir/sharded_cache.h"
 #include "index/rtree.h"
-#include "index/rtree_codec.h"
+#include "index/flat_rtree.h"
+#include "storage/arena_file.h"
 
 namespace gir {
 namespace {
@@ -112,10 +114,37 @@ TEST(RTreeDeleteTest, DeleteMaintainsInvariantsAndRangeQueries) {
   EXPECT_LE(tree.node_count(), nodes_before + 1);
 }
 
-// The page codec must round-trip post-Delete state: freed pages are
-// recovered onto the free list of the loaded tree (no arena growth on
-// further churn), and a fully-drained tree loads back as empty.
-TEST(RTreeDeleteTest, CodecRoundTripsChurnedAndDrainedTrees) {
+// Freeze -> arena image -> mapped arena -> Thaw, the writer-restart
+// path. The thawed tree is bound to the arena's own dataset image,
+// which `rows` keeps alive.
+RTree ThawThroughArena(const RTree& tree, DiskManager* disk,
+                       std::unique_ptr<Dataset>* rows) {
+  const std::string path =
+      testing::TempDir() + "/thaw_churn_" +
+      std::to_string(tree.node_count()) + "_" + std::to_string(tree.size()) +
+      ".garn";
+  const std::vector<uint8_t> image =
+      BuildArenaImage(FlatRTree::Freeze(tree), 1);
+  FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  std::fwrite(image.data(), 1, image.size(), f);
+  std::fclose(f);
+  std::shared_ptr<const ArenaFile> arena = ArenaFile::Open(path).value();
+  *rows = arena->BuildDataset().value();
+  FlatRTree mapped =
+      FlatRTree::FromArena(arena, rows->get(), disk).value();
+  return mapped.Thaw(rows->get(), disk).value();
+}
+
+std::vector<uint8_t> PageImage(const RTree& tree) {
+  return BuildArenaImage(FlatRTree::Freeze(tree), 1);
+}
+
+// The arena must round-trip post-Delete state: the thawed tree has the
+// same page image, its freed pages are back on the free list (further
+// churn reuses them exactly as the original tree does, with no arena
+// growth), and a fully-drained, rootless tree thaws back as empty.
+TEST(RTreeDeleteTest, ThawRoundTripsChurnedAndDrainedTrees) {
   Dataset data = MakeData("IND", 300, 3, 12);
   DiskManager disk;
   RTree tree(&data, &disk);
@@ -127,40 +156,44 @@ TEST(RTreeDeleteTest, CodecRoundTripsChurnedAndDrainedTrees) {
   for (RecordId id : deleted) ASSERT_TRUE(tree.Delete(id));
   ASSERT_TRUE(tree.Validate().ok());
 
-  Result<std::vector<uint8_t>> image = SaveRTreeImage(tree);
-  ASSERT_TRUE(image.ok());
   DiskManager disk2;
-  Result<RTree> loaded = LoadRTreeImage(&data, &disk2, *image);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  ASSERT_TRUE(loaded->Validate().ok());
-  EXPECT_EQ(loaded->size(), tree.size());
+  std::unique_ptr<Dataset> rows;
+  RTree thawed = ThawThroughArena(tree, &disk2, &rows);
+  ASSERT_TRUE(thawed.Validate().ok());
+  EXPECT_EQ(thawed.size(), tree.size());
+  EXPECT_EQ(PageImage(thawed), PageImage(tree));
   Mbb all{{0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
-  std::vector<RecordId> got = loaded->RangeQuery(all);
+  std::vector<RecordId> got = thawed.RangeQuery(all);
   std::vector<RecordId> want = tree.RangeQuery(all);
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);
-  // Churn on the restored tree reuses the recovered free pages instead
-  // of growing the arena.
-  const size_t nodes_before = loaded->node_count();
-  for (RecordId id : deleted) loaded->Insert(id);
-  ASSERT_TRUE(loaded->Validate().ok());
-  EXPECT_LE(loaded->node_count(), nodes_before + 1);
+  // Churn on the thawed tree reuses the recovered free pages instead of
+  // growing the arena, and hands out the same page ids the original
+  // tree does under the same churn.
+  const size_t nodes_before = thawed.node_count();
+  for (RecordId id : deleted) {
+    thawed.Insert(id);
+    tree.Insert(id);
+  }
+  ASSERT_TRUE(thawed.Validate().ok());
+  EXPECT_LE(thawed.node_count(), nodes_before + 1);
+  EXPECT_EQ(PageImage(thawed), PageImage(tree));
 
-  // Drain completely: the rootless image must load back.
-  std::vector<RecordId> rest = tree.RangeQuery(all);
-  for (RecordId id : rest) ASSERT_TRUE(tree.Delete(id));
+  // Drain completely: the rootless image must thaw back.
+  for (RecordId id : tree.RangeQuery(all)) ASSERT_TRUE(tree.Delete(id));
   EXPECT_EQ(tree.size(), 0u);
-  Result<std::vector<uint8_t>> empty_image = SaveRTreeImage(tree);
-  ASSERT_TRUE(empty_image.ok());
   DiskManager disk3;
-  Result<RTree> drained = LoadRTreeImage(&data, &disk3, *empty_image);
-  ASSERT_TRUE(drained.ok()) << drained.status().message();
-  EXPECT_EQ(drained->size(), 0u);
-  // And it is usable again.
-  drained->Insert(7);
-  EXPECT_EQ(drained->size(), 1u);
-  ASSERT_TRUE(drained->Validate().ok());
+  std::unique_ptr<Dataset> drained_rows;
+  RTree drained = ThawThroughArena(tree, &disk3, &drained_rows);
+  EXPECT_EQ(drained.size(), 0u);
+  EXPECT_EQ(drained.root(), kInvalidPage);
+  EXPECT_EQ(drained.node_count(), tree.node_count());
+  // And it is usable again, reusing a freed slot.
+  drained.Insert(7);
+  EXPECT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained.node_count(), tree.node_count());
+  ASSERT_TRUE(drained.Validate().ok());
 }
 
 TEST(RTreeDeleteTest, BulkLoadSkipsTombstones) {
@@ -500,12 +533,14 @@ TEST(GirCacheTest, VersionedProbeEvictsStaleEpochs) {
   Result<GirComputation> gir = engine->ComputeGir(w, 4, Phase2Method::kFP);
   ASSERT_TRUE(gir.ok());
 
-  GirCache cache(8);
+  ShardedGirCache cache(8, 1);
   cache.Insert(4, gir->topk.result, gir->region.ConstraintsOnly(),
                /*version=*/1);
-  EXPECT_EQ(cache.Probe(w, 4, /*version=*/1).kind, GirCache::HitKind::kExact);
+  EXPECT_EQ(cache.Probe(w, 4, /*version=*/1).kind,
+            ShardedGirCache::HitKind::kExact);
   // Same query at a newer epoch: miss, and the stale entry is dropped.
-  EXPECT_EQ(cache.Probe(w, 4, /*version=*/2).kind, GirCache::HitKind::kMiss);
+  EXPECT_EQ(cache.Probe(w, 4, /*version=*/2).kind,
+            ShardedGirCache::HitKind::kMiss);
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -1,6 +1,6 @@
 // Durability contract of the write-ahead log: every batch ApplyUpdates
 // acknowledges survives any crash bit-identically (two-phase recovery:
-// newest valid snapshot/arena epoch + committed WAL replay), no batch
+// newest valid arena epoch + committed WAL replay), no batch
 // whose ack failed is ever replayed, a torn tail truncates at the first
 // bad record, replay is idempotent across repeated crashes, and
 // checkpoints reclaim exactly the segments they made obsolete.
@@ -19,7 +19,8 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/engine.h"
-#include "index/rtree_codec.h"
+#include "index/flat_rtree.h"
+#include "storage/arena_file.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
 #include "storage/snapshot_store.h"
@@ -77,6 +78,14 @@ void ExpectSameDataset(const Dataset& a, const Dataset& b) {
       ASSERT_EQ(ra[j], rb[j]) << "record " << i << " dim " << j;
     }
   }
+}
+
+// The master tree's page image: the arena image of the tree frozen over
+// its own dataset. Byte-equal images mean the same pages under the same
+// page ids, over the same records.
+std::vector<uint8_t> MasterImage(const GirEngine& engine) {
+  return BuildArenaImage(FlatRTree::Freeze(engine.tree()),
+                         engine.dataset_version());
 }
 
 // Bitwise query probes: ids, raw score doubles and the simulated I/O
@@ -423,12 +432,11 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
           .WithWal(wal_dir));
   ASSERT_TRUE(engine->has_wal());
 
-  // Epoch 1, then a snapshot, then two more acked epochs that exist
+  // Epoch 1, then an arena, then two more acked epochs that exist
   // ONLY in the WAL when the "crash" hits.
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 1).ok());
   auto up2 = engine->ApplyUpdates(MixedBatch(2, d));
   ASSERT_TRUE(up2.ok());
   EXPECT_TRUE(up2->wal_logged);
@@ -439,8 +447,7 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
   // survive. Two-phase recovery must reach epoch 3.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 3u);
   EXPECT_EQ(restored->wal_recovery().recovered_epoch, 1u);
@@ -451,11 +458,7 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
   // Bit-identical to the pre-crash engine: dataset bytes, the master
   // tree's page image, query ids/scores and the simulated I/O charged.
   ExpectSameDataset(engine->dataset(), restored->dataset());
-  auto img_a = SaveRTreeImage(engine->tree());
-  auto img_b = SaveRTreeImage(restored->tree());
-  ASSERT_TRUE(img_a.ok());
-  ASSERT_TRUE(img_b.ok());
-  EXPECT_EQ(*img_a, *img_b);
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
   ExpectBitIdenticalQueries(engine.get(), restored.get(), d);
 
   // The epoch sequence continues where the acks left off.
@@ -475,8 +478,7 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
           .WithWal(wal_dir));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 1).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(3, d)).ok());
   const size_t rows = engine->dataset().size();
@@ -484,11 +486,10 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
 
   // Crash #1 mid-operation, recover (replays 2..3), then crash again
   // BEFORE any checkpoint — the second recovery replays the very same
-  // records over the same snapshot. Nothing may duplicate.
+  // records over the same arena. Nothing may duplicate.
   DiskManager disk2;
   auto first = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(first->dataset_version(), 3u);
   EXPECT_EQ(first->dataset().size(), rows);
@@ -496,8 +497,7 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
 
   DiskManager disk3;
   auto second = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk3,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk3, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(second->dataset_version(), 3u);
   EXPECT_EQ(second->wal_recovery().replayed_batches, 2u);
@@ -610,8 +610,7 @@ TEST(WalEngineTest, TornAppendFailsTheAckAndRecoveryTruncatesTheTail) {
           .WithWal(wal_dir, WalOptions{}, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 1).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
 
   auto torn = engine->ApplyUpdates(MixedBatch(3, d));
@@ -624,8 +623,7 @@ TEST(WalEngineTest, TornAppendFailsTheAckAndRecoveryTruncatesTheTail) {
   // torn tail and lands exactly on the acknowledged prefix.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 2u);
   EXPECT_EQ(restored->wal_recovery().replayed_batches, 1u);
@@ -662,8 +660,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
           .WithWal(wal_dir, WalOptions{}, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 1).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
   ASSERT_FALSE(engine->ApplyUpdates(MixedBatch(3, d)).ok());  // torn
 
@@ -671,8 +668,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
   // engine — it goes to a fresh segment past the sanitized tail.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 2u);
   EXPECT_EQ(restored->wal_recovery().segments_truncated, 1u);
@@ -684,8 +680,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
   // the truncated pre-crash one and the post-recovery one.
   DiskManager disk3;
   auto again = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk3,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk3, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(again->dataset_version(), 3u);
   EXPECT_EQ(again->wal_recovery().replayed_batches, 2u);  // epochs 2, 3
@@ -730,13 +725,13 @@ TEST(WalEngineTest, CheckpointRotatesAndTruncatesObsoleteSegments) {
   EXPECT_EQ(restored->dataset_version(), 3u);
   EXPECT_EQ(restored->wal_recovery().recovered_epoch, 2u);
   EXPECT_EQ(restored->wal_recovery().replayed_batches, 1u);
-  EXPECT_TRUE(restored->has_master_tree());  // replay needed a rebuild
+  ASSERT_TRUE(restored->has_master_tree());
   ExpectSameDataset(engine->dataset(), restored->dataset());
-  // Rebuilt from the arena image, not the page-identical snapshot: the
-  // update-vs-rebuild property guarantees identical results, not
-  // identical page accounting.
-  ExpectBitIdenticalQueries(engine.get(), restored.get(), d,
-                            /*compare_io=*/false);
+  // The master was thawed from the arena, page ids 1:1, and the tail
+  // replayed onto it: the same page image as the pre-crash master, so
+  // the same simulated I/O on every query.
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
+  ExpectBitIdenticalQueries(engine.get(), restored.get(), d);
 }
 
 TEST(WalEngineTest, DamagedCheckpointKeepsEveryWalSegment) {
@@ -771,7 +766,7 @@ TEST(WalEngineTest, DamagedCheckpointKeepsEveryWalSegment) {
   EXPECT_EQ(log->tail_epoch, 2u);  // both epochs still replayable
 }
 
-TEST(WalEngineTest, ArenaWithNoWalTailServesReadOnlyFromTheMapping) {
+TEST(WalEngineTest, ArenaWithNoWalTailOpensAnUpdatableWriter) {
   const size_t d = 3;
   Dataset data = FreshData(160, d);
   DiskManager disk;
@@ -784,20 +779,35 @@ TEST(WalEngineTest, ArenaWithNoWalTailServesReadOnlyFromTheMapping) {
   SnapshotStore store(snap_dir);
   ASSERT_TRUE(engine->Checkpoint(&store).ok());
 
-  // Checkpoint at epoch 1 left no committed tail: the arena open takes
-  // the mmap fast path — read-only, no master tree, no writer.
-  DiskManager disk2;
+  // Without a WAL the arena opens as the read-only mmap engine.
+  DiskManager disk_ro;
   auto served = OpenEngineOrDie(
-      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
-          .WithWal(wal_dir));
-  EXPECT_EQ(served->dataset_version(), 1u);
+      EngineConfig::FromArena(snap_dir, &disk_ro, MakeScoring("Linear", d)));
   EXPECT_FALSE(served->has_master_tree());
   EXPECT_FALSE(served->has_wal());
-  EXPECT_NE(served->wal_store(), nullptr);
   EXPECT_EQ(served->ApplyUpdates(MixedBatch(2, d)).status().code(),
             StatusCode::kFailedPrecondition);
-  ExpectBitIdenticalQueries(engine.get(), served.get(), d,
-                            /*compare_io=*/false);
+  ExpectBitIdenticalQueries(engine.get(), served.get(), d);
+
+  // Checkpoint at epoch 1 left no committed tail, yet with the WAL the
+  // open thaws a writer: nothing replayed, the master page-identical to
+  // the pre-crash one, and new batches are accepted and logged.
+  DiskManager disk2;
+  auto writer = OpenEngineOrDie(
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
+          .WithWal(wal_dir));
+  EXPECT_EQ(writer->dataset_version(), 1u);
+  ASSERT_TRUE(writer->has_master_tree());
+  EXPECT_TRUE(writer->has_wal());
+  EXPECT_EQ(writer->wal_recovery().replayed_batches, 0u);
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*writer));
+  ExpectBitIdenticalQueries(engine.get(), writer.get(), d);
+  auto up2 = writer->ApplyUpdates(MixedBatch(2, d));
+  ASSERT_TRUE(up2.ok()) << up2.status().message();
+  EXPECT_EQ(up2->version, 2u);
+  EXPECT_TRUE(up2->wal_logged);
+  ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*writer));
 }
 
 TEST(WalEngineTest, ReadOnlyDatasetSourceRefusesAWal) {
