@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
         Dataset data =
             MakeNamedDataset(dists[di], hull_n, d, params.seed + d);
         DiskManager disk;
-        RTree tree = RTree::BulkLoad(&data, &disk);
+        const FlatRTree flat =
+            FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
         LinearScoring scoring(d);
         Rng qrng(params.seed + 31 * d);
         Vec w = RandomQuery(qrng, d);
-        Result<TopKResult> topk = RunBrs(tree, scoring, w, params.k);
+        Result<TopKResult> topk = RunBrs(flat, scoring, w, params.k);
         if (topk.ok()) {
           std::vector<Vec> pts;
           std::vector<bool> in_r(data.size(), false);

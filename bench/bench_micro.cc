@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "dataset/generators.h"
@@ -231,18 +232,19 @@ void BM_RtreeInsertBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RtreeInsertBuild)->Arg(20000)->Unit(benchmark::kMillisecond);
 
+// Whole BRS query over the frozen image, the tree every query runs on.
 void BM_BrsTopK(benchmark::State& state) {
   Rng rng(g_seed + 23);
   Dataset data = GenerateIndependent(200000, 4, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  const FlatRTree flat = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(4);
   size_t i = 0;
   for (auto _ : state) {
     Rng qrng(g_seed * 1000 + i++);
     Vec w(4);
     for (int j = 0; j < 4; ++j) w[j] = qrng.Uniform(0.05, 1.0);
-    Result<TopKResult> r = RunBrs(tree, scoring, w, state.range(0));
+    Result<TopKResult> r = RunBrs(flat, scoring, w, state.range(0));
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -301,6 +303,7 @@ void BM_TopKIoByBuildMethod(benchmark::State& state) {
       tree.Insert(static_cast<RecordId>(i));
     }
   }
+  const FlatRTree flat = FlatRTree::Freeze(tree);
   LinearScoring scoring(4);
   size_t i = 0;
   uint64_t reads = 0;
@@ -309,7 +312,7 @@ void BM_TopKIoByBuildMethod(benchmark::State& state) {
     Rng qrng(g_seed * 1000 + i++);
     Vec w(4);
     for (int j = 0; j < 4; ++j) w[j] = qrng.Uniform(0.05, 1.0);
-    Result<TopKResult> r = RunBrs(tree, scoring, w, 20);
+    Result<TopKResult> r = RunBrs(flat, scoring, w, 20);
     if (r.ok()) {
       reads += r->io.reads;
       ++runs;
@@ -328,8 +331,8 @@ BENCHMARK(BM_TopKIoByBuildMethod)
 // --- Scalar vs flat kernel pairs (the PR-2 layout speedup trackers) ---
 
 // Per-entry scoring over every node of the index: Arg(0)=0 is the
-// pre-flat scalar path (virtual MaxScore/Score per entry), Arg(0)=1 the
-// SoA plane kernel on the frozen tree. reports ns/entry.
+// AoS baseline over the master (virtual MaxScore/Score per entry),
+// Arg(0)=1 the SoA plane kernel on the frozen tree. reports ns/entry.
 void BM_NodeEntryScores(benchmark::State& state) {
   const bool use_flat = state.range(0) != 0;
   const size_t d = state.range(1);
@@ -354,8 +357,8 @@ void BM_NodeEntryScores(benchmark::State& state) {
         ComputeEntryScores(scoring, data,
                            flat.PeekNode(static_cast<PageId>(p)), w, &buf);
       } else {
-        ComputeEntryScores(scoring, data,
-                           tree.PeekNode(static_cast<PageId>(p)), w, &buf);
+        bench::AosEntryScores(scoring, data,
+                              tree.PeekNode(static_cast<PageId>(p)), w, &buf);
       }
       sink += buf.scores[0];
     }
@@ -462,26 +465,6 @@ BENCHMARK(BM_SkylineDominance)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-// Whole BRS query against the frozen tree (pairs with BM_BrsTopK above,
-// which runs the mutable tree).
-void BM_BrsTopKFlat(benchmark::State& state) {
-  Rng rng(g_seed + 23);  // same dataset as BM_BrsTopK
-  Dataset data = GenerateIndependent(200000, 4, rng);
-  DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
-  FlatRTree flat = FlatRTree::Freeze(tree);
-  LinearScoring scoring(4);
-  size_t i = 0;
-  for (auto _ : state) {
-    Rng qrng(g_seed * 1000 + i++);
-    Vec w(4);
-    for (int j = 0; j < 4; ++j) w[j] = qrng.Uniform(0.05, 1.0);
-    Result<TopKResult> r = RunBrs(flat, scoring, w, state.range(0));
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_BrsTopKFlat)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -112,8 +112,8 @@ MicroResult RunMicro(int64_t seed) {
   Stopwatch sw;
   for (int r = 0; r < reps; ++r) {
     for (size_t p = 0; p < tree.node_count(); ++p) {
-      ComputeEntryScores(scoring, data, tree.PeekNode(static_cast<PageId>(p)),
-                         w, &buf);
+      AosEntryScores(scoring, data, tree.PeekNode(static_cast<PageId>(p)), w,
+                     &buf);
       sink += buf.scores[0];
     }
   }

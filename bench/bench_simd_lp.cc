@@ -101,8 +101,8 @@ ScoreMicro RunScoreMicro(int64_t n, int64_t d, int64_t seed, int reps) {
   Stopwatch sw;
   for (int r = 0; r < reps; ++r) {
     for (size_t p = 0; p < tree.node_count(); ++p) {
-      ComputeEntryScores(scoring, data, tree.PeekNode(static_cast<PageId>(p)),
-                         w, &buf);
+      AosEntryScores(scoring, data, tree.PeekNode(static_cast<PageId>(p)), w,
+                     &buf);
       sink += buf.scores[0];
     }
   }

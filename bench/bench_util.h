@@ -104,6 +104,28 @@ inline MethodCost MeasureGir(const GirEngine& engine, Phase2Method method,
   return out;
 }
 
+// Per-entry scoring of one node of the mutable master, one virtual
+// call per entry: Score() of each leaf record, MaxScore() of each
+// internal entry box. The baseline the SoA kernel (ComputeEntryScores
+// over the frozen image) is timed against by the layout micro benches
+// (bench_perf_smoke's node_score_scalar_ns, bench_simd_lp's gated
+// micro.node_score_speedup_vs_aos, bench_micro's BM_NodeEntryScores).
+inline void AosEntryScores(const ScoringFunction& scoring,
+                           const Dataset& data, const RTreeNode& node,
+                           VecView weights, ScoreBuffer* buf) {
+  const size_t n = node.entries.size();
+  buf->scores.resize(n);
+  if (node.is_leaf) {
+    for (size_t e = 0; e < n; ++e) {
+      buf->scores[e] = scoring.Score(data.Get(node.entries[e].child), weights);
+    }
+  } else {
+    for (size_t e = 0; e < n; ++e) {
+      buf->scores[e] = scoring.MaxScore(node.entries[e].mbb, weights);
+    }
+  }
+}
+
 // ----- plain-text table helpers (one row per x-axis point) -----
 
 inline void PrintTitle(const std::string& title) {

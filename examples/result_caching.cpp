@@ -54,7 +54,8 @@ int main() {
       cache.Insert(k, gir->topk.result, gir->region);
     }
     // Baseline: every query pays its own top-k I/O.
-    Result<TopKResult> plain = RunBrs(engine->tree(), engine->scoring(), q, k);
+    Result<TopKResult> plain =
+        RunBrs(engine->flat_tree(), engine->scoring(), q, k);
     if (plain.ok()) reads_without_cache += plain->io.reads;
   }
 

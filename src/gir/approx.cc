@@ -14,7 +14,7 @@ double MinScoring::Score(VecView p, VecView q) const {
   return best;
 }
 
-Result<std::vector<RecordId>> GeneralTopK(const RTree& tree,
+Result<std::vector<RecordId>> GeneralTopK(const FlatRTree& tree,
                                           const GeneralScoringFunction& fn,
                                           VecView q, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
@@ -33,11 +33,11 @@ Result<std::vector<RecordId>> GeneralTopK(const RTree& tree,
   };
   std::priority_queue<Entry, std::vector<Entry>, Less> heap;
   if (tree.root() != kInvalidPage) {
-    const RTreeNode& root = tree.PeekNode(tree.root());
-    heap.push(Entry{fn.MaxScore(root.ComputeMbb(data.dim()), q), true,
+    heap.push(Entry{fn.MaxScore(tree.PeekNode(tree.root()).mbb(), q), true,
                     static_cast<int32_t>(tree.root())});
   }
   std::vector<RecordId> out;
+  Mbb box;
   while (!heap.empty() && out.size() < k) {
     Entry top = heap.top();
     heap.pop();
@@ -45,19 +45,22 @@ Result<std::vector<RecordId>> GeneralTopK(const RTree& tree,
       out.push_back(top.id);
       continue;
     }
-    const RTreeNode& node = tree.ReadNode(static_cast<PageId>(top.id));
-    for (const RTreeEntry& e : node.entries) {
-      if (node.is_leaf) {
-        heap.push(Entry{fn.Score(data.Get(e.child), q), false, e.child});
+    const FlatRTree::NodeView node =
+        tree.ReadNode(static_cast<PageId>(top.id));
+    for (size_t e = 0; e < node.count(); ++e) {
+      const int32_t child = node.child(e);
+      if (node.is_leaf()) {
+        heap.push(Entry{fn.Score(data.Get(child), q), false, child});
       } else {
-        heap.push(Entry{fn.MaxScore(e.mbb, q), true, e.child});
+        node.EntryMbbInto(e, &box);
+        heap.push(Entry{fn.MaxScore(box, q), true, child});
       }
     }
   }
   return out;
 }
 
-Result<ApproxGir> ApproxGir::Compute(const RTree& tree,
+Result<ApproxGir> ApproxGir::Compute(const FlatRTree& tree,
                                      const GeneralScoringFunction& fn,
                                      VecView q, size_t k,
                                      const ApproxGirOptions& options) {

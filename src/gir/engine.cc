@@ -17,7 +17,6 @@
 #include "gir/sharded_cache.h"
 #include "gir/sp.h"
 #include "storage/snapshot_store.h"
-#include "topk/tree_kernels.h"
 
 namespace gir {
 
@@ -497,7 +496,7 @@ Result<GirComputation> GirEngine::FinishGir(const FlatRTree& flat,
           const FlatRTree::NodeView node = flat.PeekNode(page);
           stack.pop_back();
           if (node.is_leaf()) {
-            Status read = TreeReadPage(flat, page);
+            Status read = flat.FetchPage(page);
             if (!read.ok()) return read;
             continue;
           }

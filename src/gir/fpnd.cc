@@ -102,7 +102,11 @@ Result<bool> IncidentStar::Insert(VecView p, int external_id) {
     for (int v : f.vertices) {
       if (v == 0) continue;
       auto it = ridges_.find(RidgeKey(f, v));
-      assert(it != ridges_.end() && it->second.size() == 2);
+      if (it == ridges_.end() || it->second.size() != 2) {
+        // Broken star invariant (every apex ridge joins exactly two
+        // live facets); refuse the point before anything is mutated.
+        return Status::Internal("incident star ridge not shared by 2 facets");
+      }
       int other = it->second[0] == fid ? it->second[1] : it->second[0];
       if (visible_set.count(other)) continue;  // interior ridge
       Horizon h;
@@ -201,12 +205,13 @@ void InsertWithFallback(IncidentStar& star, const ScoringFunction& scoring,
   region->AddConstraint(Sub(gk, g), prov);
 }
 
-template <typename Tree>
-Result<Phase2Output> RunFpNdImpl(const Tree& tree,
-                                 const ScoringFunction& scoring,
-                                 VecView weights, const TopKResult& topk,
-                                 GirRegion* region,
-                                 const FpOptions& options) {
+}  // namespace
+
+Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
+                                   const ScoringFunction& scoring,
+                                   VecView weights, const TopKResult& topk,
+                                   GirRegion* region,
+                                   const FpOptions& options) {
   const Dataset& data = tree.dataset();
   const size_t dim = data.dim();
   if (topk.result.empty()) {
@@ -301,19 +306,19 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
       return MaxDotTransformedBox(scoring, top.mbb, normal);
     });
     if (prunable || box_redundant_in_cone(top.mbb)) continue;
-    decltype(auto) node = tree.ReadNode(top.page);
-    const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
+    const FlatRTree::NodeView node = tree.ReadNode(top.page);
+    const size_t count = node.count();
+    if (node.is_leaf()) {
       for (size_t i = 0; i < count; ++i) {
-        process_record(NodeChild(node, i));
+        process_record(node.child(i));
       }
     } else {
       ComputeEntryScores(scoring, data, node, weights, &buf);
       for (size_t i = 0; i < count; ++i) {
         PendingNode pn;
         pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(NodeChild(node, i));
-        pn.mbb = NodeEntryMbb(node, i);
+        pn.page = static_cast<PageId>(node.child(i));
+        pn.mbb = node.EntryMbb(i);
         heap.push_back(std::move(pn));
         std::push_heap(heap.begin(), heap.end(), less);
       }
@@ -336,24 +341,6 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   out.star_facets = star.live_facet_count();
   out.io = DiskManager::ThreadStats() - before;
   return out;
-}
-
-}  // namespace
-
-Result<Phase2Output> RunFpNdPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options) {
-  return RunFpNdImpl(tree, scoring, weights, topk, region, options);
-}
-
-Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options) {
-  return RunFpNdImpl(tree, scoring, weights, topk, region, options);
 }
 
 }  // namespace gir

@@ -32,7 +32,8 @@ class IncidentStar {
   // common case: no copy of `p` is made then). Fails with
   // FailedPrecondition on a degenerate facet fit (caller may joggle
   // the point and retry, or add its constraint directly — both
-  // preserve correctness).
+  // preserve correctness), and with Internal, leaving the star
+  // untouched, when the star's own invariants are found broken.
   Result<bool> Insert(VecView p, int external_id);
 
   struct StarFacet {
@@ -100,13 +101,6 @@ struct FpOptions {
 // Facet Pruning for d > 2 (also correct for d == 2; the engine uses the
 // specialised angular variant there). Consumes the encountered set T
 // and the retained BRS heap; emits one half-space per critical record.
-Result<Phase2Output> RunFpNdPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options = {});
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
                                    const ScoringFunction& scoring,
                                    VecView weights, const TopKResult& topk,

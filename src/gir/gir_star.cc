@@ -71,8 +71,7 @@ std::vector<int> PositionsOf(const std::vector<RecordId>& result,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> GirStarViaSkyline(const Tree& tree,
+Result<Phase2Output> GirStarViaSkyline(const FlatRTree& tree,
                                        const ScoringFunction& scoring,
                                        VecView weights,
                                        const TopKResult& topk,
@@ -121,8 +120,7 @@ Result<Phase2Output> GirStarViaSkyline(const Tree& tree,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> GirStarViaFp(const Tree& tree,
+Result<Phase2Output> GirStarViaFp(const FlatRTree& tree,
                                   const ScoringFunction& scoring,
                                   VecView weights, const TopKResult& topk,
                                   GirRegion* region,
@@ -192,17 +190,17 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
       }
     }
     if (prunable) continue;
-    decltype(auto) node = tree.ReadNode(top.page);
-    const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
-      for (size_t i = 0; i < count; ++i) feed(NodeChild(node, i));
+    const FlatRTree::NodeView node = tree.ReadNode(top.page);
+    const size_t count = node.count();
+    if (node.is_leaf()) {
+      for (size_t i = 0; i < count; ++i) feed(node.child(i));
     } else {
       ComputeEntryScores(scoring, tree.dataset(), node, weights, &buf);
       for (size_t i = 0; i < count; ++i) {
         PendingNode pn;
         pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(NodeChild(node, i));
-        pn.mbb = NodeEntryMbb(node, i);
+        pn.page = static_cast<PageId>(node.child(i));
+        pn.mbb = node.EntryMbb(i);
         heap.push_back(std::move(pn));
         std::push_heap(heap.begin(), heap.end(), less);
       }
@@ -230,13 +228,14 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> RunGirStarImpl(const Tree& tree,
-                                    const ScoringFunction& scoring,
-                                    VecView weights, const TopKResult& topk,
-                                    const std::string& method,
-                                    GirRegion* region,
-                                    const FpOptions& fp_options) {
+}  // namespace
+
+Result<Phase2Output> RunGirStarPhase2(const FlatRTree& tree,
+                                      const ScoringFunction& scoring,
+                                      VecView weights, const TopKResult& topk,
+                                      const std::string& method,
+                                      GirRegion* region,
+                                      const FpOptions& fp_options) {
   if (topk.result.empty()) {
     return Status::InvalidArgument("empty top-k result");
   }
@@ -252,28 +251,6 @@ Result<Phase2Output> RunGirStarImpl(const Tree& tree,
     return GirStarViaFp(tree, scoring, weights, topk, region, fp_options);
   }
   return Status::InvalidArgument("unknown GIR* method: " + method);
-}
-
-}  // namespace
-
-Result<Phase2Output> RunGirStarPhase2(const RTree& tree,
-                                      const ScoringFunction& scoring,
-                                      VecView weights, const TopKResult& topk,
-                                      const std::string& method,
-                                      GirRegion* region,
-                                      const FpOptions& fp_options) {
-  return RunGirStarImpl(tree, scoring, weights, topk, method, region,
-                        fp_options);
-}
-
-Result<Phase2Output> RunGirStarPhase2(const FlatRTree& tree,
-                                      const ScoringFunction& scoring,
-                                      VecView weights, const TopKResult& topk,
-                                      const std::string& method,
-                                      GirRegion* region,
-                                      const FpOptions& fp_options) {
-  return RunGirStarImpl(tree, scoring, weights, topk, method, region,
-                        fp_options);
 }
 
 }  // namespace gir

@@ -4,12 +4,9 @@
 
 namespace gir {
 
-namespace {
-
-template <typename Tree>
-Phase2Output RunSpImpl(const Tree& tree, const ScoringFunction& scoring,
-                       VecView weights, const TopKResult& topk,
-                       GirRegion* region) {
+Phase2Output RunSpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
+                         VecView weights, const TopKResult& topk,
+                         GirRegion* region) {
   const Dataset& data = tree.dataset();
   SkylineResult sl = ContinueSkylineFromBrs(tree, scoring, weights, topk);
   const RecordId pk = topk.result.back();
@@ -25,20 +22,6 @@ Phase2Output RunSpImpl(const Tree& tree, const ScoringFunction& scoring,
   out.candidates = sl.skyline.size();
   out.io = sl.io;
   return out;
-}
-
-}  // namespace
-
-Phase2Output RunSpPhase2(const RTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region) {
-  return RunSpImpl(tree, scoring, weights, topk, region);
-}
-
-Phase2Output RunSpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region) {
-  return RunSpImpl(tree, scoring, weights, topk, region);
 }
 
 }  // namespace gir

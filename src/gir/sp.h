@@ -21,11 +21,6 @@ struct Phase2Output {
 // Skyline Pruning (paper §5.1): Phase 2 considers exactly the skyline
 // SL of D \ R, computed by the BBS continuation from the retained BRS
 // heap. Valid for every monotone scoring function.
-Phase2Output RunSpPhase2(const RTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region);
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Phase2Output RunSpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
                          VecView weights, const TopKResult& topk,
                          GirRegion* region);

@@ -120,12 +120,14 @@ Result<FlatRTree> FlatRTree::FromArena(
   flat.children_base_ = arena->children();
   // Per-node metadata: the POD headers plus the MBB planes are small
   // (O(nodes * dim)), rebuilt on the heap because FlatNodeMeta carries
-  // an allocated Mbb. Child ids must stay inside the arena — a valid
-  // CRC proves integrity, not semantics, so the structural checks here
-  // are what keeps a hostile-but-checksummed file from walking a
-  // traversal out of bounds.
+  // an allocated Mbb. Child page ids must stay inside the arena and
+  // leaf record ids inside the dataset — a valid CRC proves integrity,
+  // not semantics, so the structural checks here are what keeps a
+  // hostile-but-checksummed file from walking a traversal (or a
+  // scoring, RangeQuery or Thaw read) out of bounds.
   const size_t n = arena->node_count();
   const int64_t node_limit = static_cast<int64_t>(n);
+  const int64_t record_limit = static_cast<int64_t>(dataset->size());
   flat.meta_.resize(n);
   for (size_t p = 0; p < n; ++p) {
     const ArenaNodeMeta& m = arena->node_meta()[p];
@@ -139,12 +141,13 @@ Result<FlatRTree> FlatRTree::FromArena(
     const double* box = arena->node_mbbs() + p * 2 * flat.dim_;
     meta.mbb.lo.assign(box, box + flat.dim_);
     meta.mbb.hi.assign(box + flat.dim_, box + 2 * flat.dim_);
-    if (!meta.is_leaf) {
-      const int32_t* children = flat.children_base_ + p * flat.capacity_;
-      for (uint32_t e = 0; e < m.count; ++e) {
-        if (children[e] < 0 || children[e] >= node_limit) {
-          return Status::DataLoss("arena child page id out of range");
-        }
+    const int32_t* children = flat.children_base_ + p * flat.capacity_;
+    const int64_t limit = meta.is_leaf ? record_limit : node_limit;
+    for (uint32_t e = 0; e < m.count; ++e) {
+      if (children[e] < 0 || children[e] >= limit) {
+        return Status::DataLoss(meta.is_leaf
+                                    ? "arena leaf record id out of range"
+                                    : "arena child page id out of range");
       }
     }
   }

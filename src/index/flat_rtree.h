@@ -35,11 +35,11 @@ namespace gir {
 // frozen vectors unmodified — so every traversal, score and IoStats
 // count is identical across them (property-tested per SIMD tier).
 //
-// Page ids are preserved 1:1 from the source tree, and ReadNode charges
-// exactly one simulated page read like RTree::ReadNode, so any traversal
-// that visits the same pages produces bit-identical IoStats. Leaf entry
-// planes hold the record coordinates themselves (a leaf MBB is its
-// point), which is what makes leaf scoring a pure SoA streaming loop.
+// Page ids are preserved 1:1 from the source tree, and ReadNode and
+// FetchPage each charge exactly one simulated page read: this image is
+// the only tree the query algorithms traverse. Leaf entry planes hold
+// the record coordinates themselves (a leaf MBB is its point), which is
+// what makes leaf scoring a pure SoA streaming loop.
 // Fixed-size per-node header of the flat arena (an implementation
 // detail of FlatRTree, at namespace scope only so NodeView's inline
 // accessors can see the complete type).
@@ -113,9 +113,10 @@ class FlatRTree {
   FlatRTree(const FlatRTree&) = delete;
   FlatRTree& operator=(const FlatRTree&) = delete;
 
-  // Compacts `tree` into the flat arena. The source tree, its dataset
-  // and disk manager must outlive the frozen image; the freeze itself
-  // charges no simulated I/O (it repacks pages already written).
+  // Compacts `tree` into the flat arena, copying every node: the
+  // tree's dataset and disk manager must outlive the frozen image, the
+  // tree itself need not. The freeze charges no simulated I/O (it
+  // repacks pages already written).
   //
   // `dataset_override` (when non-null) is the dataset the image — and
   // every query over it — will read instead of the tree's own: the
@@ -151,10 +152,10 @@ class FlatRTree {
   // disk that already holds pages.
   Result<RTree> Thaw(const Dataset* dataset, DiskManager* disk) const;
 
-  // Node access, charging one simulated page read (same accounting as
-  // RTree::ReadNode). Accounting-only and infallible — used by the
-  // Phase-2 continuations, which re-expand pending nodes already
-  // resident; the fallible traversals fetch through FetchPage instead.
+  // Node access, charging one simulated page read. Accounting-only and
+  // infallible — used by the Phase-2 continuations, which re-expand
+  // pending nodes already resident; the fallible traversals fetch
+  // through FetchPage instead.
   NodeView ReadNode(PageId page) const {
     disk_->NoteRead();
     return PeekNode(page);

@@ -61,11 +61,6 @@ void RTree::FreeNode(PageId page) {
       std::upper_bound(free_pages_.begin(), free_pages_.end(), page), page);
 }
 
-const RTreeNode& RTree::ReadNode(PageId page) const {
-  disk_->NoteRead();
-  return nodes_[page];
-}
-
 size_t RTree::height() const {
   if (root_ == kInvalidPage) return 0;
   return static_cast<size_t>(nodes_[root_].level) + 1;

@@ -41,8 +41,10 @@ struct RTreeOptions {
 // bulk loader (Leutenegger et al.) is provided for benchmark-scale
 // construction.
 //
-// Every node access that the paper's setup would serve from disk must go
-// through ReadNode(), which charges one page read to the DiskManager.
+// This is the mutable build/update master only. Queries run over its
+// frozen image (FlatRTree::Freeze), whose node accesses charge the page
+// reads of the paper's disk model; the master has no accounted read
+// path, so no traversal can charge I/O against it.
 class RTree {
  public:
   // Builds an empty tree. `dataset` and `disk` must outlive the tree.
@@ -81,9 +83,7 @@ class RTree {
                          std::vector<RTreeNode> nodes, PageId root,
                          size_t record_count);
 
-  // Node access, charging one simulated page read.
-  const RTreeNode& ReadNode(PageId page) const;
-  // Accounting-free access for tests and validation.
+  // Accounting-free node access for Freeze, tests and validation.
   const RTreeNode& PeekNode(PageId page) const { return nodes_[page]; }
 
   PageId root() const { return root_; }

@@ -26,9 +26,11 @@ struct HeapEntryLess {
   }
 };
 
-template <typename Tree>
-Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
-                              VecView weights, size_t k) {
+}  // namespace
+
+Result<TopKResult> RunBrs(const FlatRTree& tree,
+                          const ScoringFunction& scoring, VecView weights,
+                          size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (weights.size() != tree.dataset().dim()) {
     return Status::InvalidArgument("weight dimensionality mismatch");
@@ -38,9 +40,8 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
   IoStats before = DiskManager::ThreadStats();
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapEntryLess> heap;
   if (tree.root() != kInvalidPage) {
-    decltype(auto) root = tree.PeekNode(tree.root());
     HeapEntry e;
-    e.mbb = NodeSelfMbb(tree, root);
+    e.mbb = tree.PeekNode(tree.root()).mbb();
     e.key = scoring.MaxScore(e.mbb, weights);
     e.is_node = true;
     e.id = static_cast<int32_t>(tree.root());
@@ -56,27 +57,28 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
       out.scores.push_back(top.key);
       continue;
     }
-    Status read = TreeReadPage(tree, static_cast<PageId>(top.id));
+    const PageId page = static_cast<PageId>(top.id);
+    Status read = tree.FetchPage(page);
     if (!read.ok()) return read;
-    decltype(auto) node = tree.PeekNode(static_cast<PageId>(top.id));
-    const size_t count = NodeEntryCount(node);
+    const FlatRTree::NodeView node = tree.PeekNode(page);
+    const size_t count = node.count();
     ComputeEntryScores(scoring, data, node, weights, &buf);
-    if (NodeIsLeaf(node)) {
+    if (node.is_leaf()) {
       for (size_t i = 0; i < count; ++i) {
         HeapEntry he;
         he.key = buf.scores[i];
         he.is_node = false;
-        he.id = NodeChild(node, i);
+        he.id = node.child(i);
         heap.push(std::move(he));
-        fetched_records.push_back(NodeChild(node, i));
+        fetched_records.push_back(node.child(i));
       }
     } else {
       for (size_t i = 0; i < count; ++i) {
         HeapEntry he;
         he.key = buf.scores[i];
         he.is_node = true;
-        he.id = NodeChild(node, i);
-        he.mbb = NodeEntryMbb(node, i);
+        he.id = node.child(i);
+        he.mbb = node.EntryMbb(i);
         heap.push(std::move(he));
       }
     }
@@ -106,6 +108,8 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
   out.io = DiskManager::ThreadStats() - before;
   return out;
 }
+
+namespace {
 
 // ----- shared-traversal multi-query executor -----
 
@@ -151,8 +155,8 @@ void FinalizeMultiQuery(const FlatRTree& tree,
     pn.maxscore = top.key;
     pn.page = static_cast<PageId>(top.id);
     if (top.parent == kInvalidPage) {
-      // Root entry (only reachable when the root was never expanded,
-      // which a solo run covers via NodeSelfMbb — same box).
+      // Root entry (only reachable when the root was never expanded;
+      // a solo run seeds its heap with the same box).
       pn.mbb = tree.PeekNode(pn.page).mbb();
     } else {
       tree.PeekNode(top.parent).EntryMbbInto(top.slot, &pn.mbb);
@@ -310,7 +314,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       const bool first_touch = arena->visit_stamp[page] != arena->serial;
       if (first_touch) {
         bool resident = true;
-        Status read = TreeReadPage(tree, page, &resident);
+        Status read = tree.FetchPage(page, &resident);
         if (read.ok() && tree.arena_backed()) {
           ++(resident ? stats->prefetch_hits : stats->prefetch_misses);
         }
@@ -373,17 +377,6 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     }
   }
   return Status::Ok();
-}
-
-Result<TopKResult> RunBrs(const RTree& tree, const ScoringFunction& scoring,
-                          VecView weights, size_t k) {
-  return RunBrsImpl(tree, scoring, weights, k);
-}
-
-Result<TopKResult> RunBrs(const FlatRTree& tree,
-                          const ScoringFunction& scoring, VecView weights,
-                          size_t k) {
-  return RunBrsImpl(tree, scoring, weights, k);
 }
 
 }  // namespace gir

@@ -5,7 +5,6 @@
 
 #include "common/result.h"
 #include "index/flat_rtree.h"
-#include "index/rtree.h"
 #include "storage/io_stats.h"
 #include "topk/scoring.h"
 #include "topk/tree_kernels.h"
@@ -43,14 +42,10 @@ struct TopKResult {
 // score; popped records are final results.
 //
 // Returns InvalidArgument for k == 0 or weight dimensionality mismatch.
-// When the dataset has fewer than k records, returns them all.
-Result<TopKResult> RunBrs(const RTree& tree, const ScoringFunction& scoring,
-                          VecView weights, size_t k);
-
-// Same search over the frozen representation, using the batched SoA
-// score kernels. Output (result, scores, encountered, pending, io) is
-// bit-identical to the mutable-tree run on the tree the image was
-// frozen from.
+// When the dataset has fewer than k records, returns them all. Node
+// entries are bounded by the batched SoA score kernels, and every node
+// expansion is one checked FetchPage, so an attached fault plan fails
+// the run with the read's status.
 Result<TopKResult> RunBrs(const FlatRTree& tree,
                           const ScoringFunction& scoring, VecView weights,
                           size_t k);

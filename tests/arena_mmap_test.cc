@@ -6,20 +6,26 @@
 // flipped byte) are rejected at open by checksum and skipped by
 // directory recovery; epoch advance on a follower is one validated
 // pointer swap; and the frontier prefetcher's counters fire only on the
-// mapped image under shared traversal.
+// mapped image under shared traversal. A checksummed arena whose
+// contents are semantically out of range is refused as DataLoss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "dataset/generators.h"
+#include "gir/approx.h"
 #include "gir/batch_engine.h"
 #include "gir/engine.h"
+#include "index/flat_rtree.h"
 #include "storage/arena_file.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
@@ -375,6 +381,108 @@ TEST(ArenaMmapTest, ArenaFileResidencyControls) {
 
   PageId pages[1] = {root};
   arena.PrefetchNodes(pages, 1);  // advisory; must not crash or throw
+}
+
+// Overwrites one int32 of the children section of an arena image and
+// re-seals the section CRC and the header CRC, producing a file that
+// ArenaFile::Open accepts: only FromArena's semantic checks can refuse
+// it. Layout per arena_file.h: an 80-byte fixed header, then one
+// 32-byte table entry per section (kind, pad, offset, length, crc,
+// pad), then the header CRC.
+void PatchChildAndReseal(std::vector<uint8_t>* image, size_t child_index,
+                         int32_t value) {
+  constexpr size_t kTable = 80;
+  constexpr size_t kEntry = 32;
+  uint8_t* h = image->data();
+  for (size_t s = 0; s < kArenaSectionCount; ++s) {
+    uint8_t* entry = h + kTable + s * kEntry;
+    uint32_t kind = 0;
+    std::memcpy(&kind, entry, sizeof(kind));
+    if (kind != static_cast<uint32_t>(ArenaSection::kChildren)) continue;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    std::memcpy(h + offset + child_index * sizeof(int32_t), &value,
+                sizeof(value));
+    const uint32_t crc = Crc32(h + offset, length);
+    std::memcpy(entry + 24, &crc, sizeof(crc));
+  }
+  const size_t header_crc_at = kTable + kArenaSectionCount * kEntry;
+  const uint32_t header_crc = Crc32(h, header_crc_at);
+  std::memcpy(h + header_crc_at, &header_crc, sizeof(header_crc));
+}
+
+// A leaf entry holds a record id, which scoring, RangeQuery and Thaw
+// use to index the dataset. A valid CRC proves integrity, not
+// semantics: FromArena must refuse a checksummed file whose leaf id
+// points past the dataset, as it refuses out-of-range child pages.
+TEST(ArenaMmapTest, LeafRecordIdOutOfRangeIsDataLoss) {
+  Dataset data = MakeDist("IND", 300, 3, kDataSeed + 6);
+  DiskManager disk;
+  const FlatRTree flat = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
+  PageId leaf = kInvalidPage;
+  for (size_t p = 0; p < flat.node_count() && leaf == kInvalidPage; ++p) {
+    const FlatRTree::NodeView node = flat.PeekNode(static_cast<PageId>(p));
+    if (node.is_leaf() && node.count() > 0) leaf = static_cast<PageId>(p);
+  }
+  ASSERT_NE(leaf, kInvalidPage);
+  const size_t slot = static_cast<size_t>(leaf) * flat.Capacity();
+  const std::string dir = FreshDir("arena_leaf_id");
+  std::filesystem::create_directories(dir);
+
+  auto open_flat = [&](int32_t leaf_id, const std::string& name) {
+    std::vector<uint8_t> image = BuildArenaImage(flat, 1);
+    PatchChildAndReseal(&image, slot, leaf_id);
+    const std::string path = dir + "/" + name;
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    auto arena = ArenaFile::Open(path);
+    EXPECT_TRUE(arena.ok()) << arena.status().message();
+    auto rows = (*arena)->BuildDataset();
+    EXPECT_TRUE(rows.ok()) << rows.status().message();
+    DiskManager mapped_disk;
+    return FlatRTree::FromArena(*arena, rows->get(), &mapped_disk).status();
+  };
+  // Control: re-sealing an in-range id yields a file FromArena serves.
+  const int32_t last_id = static_cast<int32_t>(data.size()) - 1;
+  EXPECT_TRUE(open_flat(last_id, "in_range.arena").ok());
+  for (int32_t bad : {static_cast<int32_t>(data.size()), int32_t{-1}}) {
+    Status st = open_flat(bad, "bad_" + std::to_string(bad) + ".arena");
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << "leaf id " << bad;
+  }
+}
+
+// Approximate GIR traverses the frozen image, so it runs on an engine
+// opened from an arena alone, with no master tree to fall back on, and
+// agrees with the heap engine it was published from.
+TEST(ArenaMmapTest, ApproxGirRunsOnMappedImage) {
+  Dataset data = MakeDist("ANTI", 300, 3, kDataSeed + 8);
+  DiskManager disk;
+  auto heap = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", 3)));
+  const std::string dir = FreshDir("arena_approx");
+  SnapshotStore store(dir);
+  ASSERT_TRUE(store.WriteArena(heap->flat_tree(), 0).ok());
+  DiskManager mmap_disk;
+  auto mapped = GirEngine::Open(
+      EngineConfig::FromArena(dir, &mmap_disk, MakeScoring("Linear", 3)));
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  ASSERT_FALSE((*mapped)->has_master_tree());
+
+  MinScoring fn(3);
+  ApproxGirOptions opt;
+  opt.rays = 8;
+  opt.probability_samples = 20;
+  const Vec q = {0.6, 0.5, 0.8};
+  auto want = ApproxGir::Compute(heap->flat_tree(), fn, q, 5, opt);
+  auto got = ApproxGir::Compute((*mapped)->flat_tree(), fn, q, 5, opt);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got->result(), want->result());
+  EXPECT_EQ(got->boundary_points(), want->boundary_points());
+  EXPECT_EQ(got->preserved_probability(), want->preserved_probability());
 }
 
 }  // namespace

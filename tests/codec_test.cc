@@ -58,16 +58,17 @@ TEST(ThawTest, FullTreeRoundTripIsPageIdentical) {
   EXPECT_EQ(thawed->root(), tree.root());
   EXPECT_EQ(disk2.allocated_pages(), tree.node_count());
   ASSERT_TRUE(thawed->Validate().ok()) << thawed->Validate().ToString();
-  EXPECT_EQ(BuildArenaImage(FlatRTree::Freeze(*thawed), 1),
-            BuildArenaImage(FlatRTree::Freeze(tree), 1));
+  const FlatRTree original = FlatRTree::Freeze(tree);
+  const FlatRTree restored = FlatRTree::Freeze(*thawed);
+  EXPECT_EQ(BuildArenaImage(restored, 1), BuildArenaImage(original, 1));
 
   // Queries on the thawed tree match the original, page for page.
   LinearScoring scoring(3);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w = {rng.Uniform(0.1, 1.0), rng.Uniform(0.1, 1.0),
              rng.Uniform(0.1, 1.0)};
-    Result<TopKResult> a = RunBrs(tree, scoring, w, 10);
-    Result<TopKResult> b = RunBrs(*thawed, scoring, w, 10);
+    Result<TopKResult> a = RunBrs(original, scoring, w, 10);
+    Result<TopKResult> b = RunBrs(restored, scoring, w, 10);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->result, b->result);

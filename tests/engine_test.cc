@@ -145,11 +145,13 @@ TEST(EngineEdgeTest, TinyPagesForceDeepTreesAndReinserts) {
 
   DiskManager disk_big;
   RTree bulk = RTree::BulkLoad(&data, &disk_big);
+  const FlatRTree inserted_flat = FlatRTree::Freeze(tree);
+  const FlatRTree bulk_flat = FlatRTree::Freeze(bulk);
   LinearScoring scoring(2);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w = {rng.Uniform(0.1, 1.0), rng.Uniform(0.1, 1.0)};
-    Result<TopKResult> a = RunBrs(tree, scoring, w, 10);
-    Result<TopKResult> b = RunBrs(bulk, scoring, w, 10);
+    Result<TopKResult> a = RunBrs(inserted_flat, scoring, w, 10);
+    Result<TopKResult> b = RunBrs(bulk_flat, scoring, w, 10);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->result, b->result);
   }

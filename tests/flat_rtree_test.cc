@@ -1,25 +1,23 @@
 // Layout-equivalence property tests: the frozen FlatRTree must be
 // indistinguishable from the mutable R*-tree it was frozen from — same
-// structure, same RangeQuery answers, and bit-identical traversal
-// output (BRS results/scores/pending heap, Phase-2 GIR constraints,
-// simulated IoStats) on random IND/COR/ANTI datasets, both bulk-loaded
-// and incrementally inserted.
+// structure, same RangeQuery answers — and its batched entry-score
+// kernel must reproduce the per-entry Score/MaxScore of every node
+// bitwise, on random IND/COR/ANTI datasets, both bulk-loaded and
+// incrementally inserted, on every SIMD dispatch tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "dataset/generators.h"
-#include "gir/cp.h"
-#include "gir/fp2d.h"
-#include "gir/fpnd.h"
-#include "gir/gir_star.h"
-#include "gir/phase1.h"
-#include "gir/sp.h"
 #include "index/flat_rtree.h"
 #include "index/rtree.h"
-#include "topk/brs.h"
+#include "topk/scoring.h"
+#include "topk/tree_kernels.h"
 
 namespace gir {
 namespace {
@@ -44,87 +42,6 @@ Vec Query(Rng& rng, size_t d) {
   Vec w(d);
   for (size_t j = 0; j < d; ++j) w[j] = rng.Uniform(0.05, 1.0);
   return w;
-}
-
-// Runs BRS + Phase 1 + the given Phase-2 method on either tree
-// representation and returns everything the equivalence check compares.
-struct PipelineRun {
-  TopKResult topk;
-  std::vector<GirConstraint> constraints;
-  uint64_t phase2_reads = 0;
-};
-
-template <typename Tree>
-PipelineRun RunPipeline(const Tree& tree, const ScoringFunction& scoring,
-                        VecView w, size_t k, const std::string& method,
-                        bool order_sensitive) {
-  PipelineRun out;
-  Result<TopKResult> topk = RunBrs(tree, scoring, w, k);
-  EXPECT_TRUE(topk.ok());
-  out.topk = std::move(topk).value();
-  GirRegion region(tree.dataset().dim(), Vec(w.begin(), w.end()),
-                   out.topk.result);
-  if (order_sensitive) {
-    AddPhase1Constraints(tree.dataset(), scoring, out.topk.result, &region);
-    Result<Phase2Output> p2 = [&]() -> Result<Phase2Output> {
-      if (method == "SP") {
-        return RunSpPhase2(tree, scoring, w, out.topk, &region);
-      }
-      if (method == "CP") {
-        return RunCpPhase2(tree, scoring, w, out.topk, &region);
-      }
-      if (tree.dataset().dim() == 2) {
-        return RunFp2dPhase2(tree, scoring, w, out.topk, &region);
-      }
-      return RunFpNdPhase2(tree, scoring, w, out.topk, &region, FpOptions{});
-    }();
-    EXPECT_TRUE(p2.ok());
-    out.phase2_reads = p2->io.reads;
-  } else {
-    Result<Phase2Output> p2 = RunGirStarPhase2(tree, scoring, w, out.topk,
-                                               method, &region, FpOptions{});
-    EXPECT_TRUE(p2.ok());
-    out.phase2_reads = p2->io.reads;
-  }
-  out.constraints = region.constraints();
-  return out;
-}
-
-void ExpectBitIdentical(const PipelineRun& a, const PipelineRun& b,
-                        const std::string& label) {
-  SCOPED_TRACE(label);
-  // BRS output.
-  EXPECT_EQ(a.topk.result, b.topk.result);
-  ASSERT_EQ(a.topk.scores.size(), b.topk.scores.size());
-  for (size_t i = 0; i < a.topk.scores.size(); ++i) {
-    EXPECT_EQ(a.topk.scores[i], b.topk.scores[i]) << "score " << i;
-  }
-  EXPECT_EQ(a.topk.encountered, b.topk.encountered);
-  ASSERT_EQ(a.topk.pending.size(), b.topk.pending.size());
-  for (size_t i = 0; i < a.topk.pending.size(); ++i) {
-    EXPECT_EQ(a.topk.pending[i].page, b.topk.pending[i].page) << "pend " << i;
-    EXPECT_EQ(a.topk.pending[i].maxscore, b.topk.pending[i].maxscore)
-        << "pend " << i;
-  }
-  EXPECT_EQ(a.topk.io.reads, b.topk.io.reads);
-  // Phase-2 I/O.
-  EXPECT_EQ(a.phase2_reads, b.phase2_reads);
-  // Region constraints, bitwise.
-  ASSERT_EQ(a.constraints.size(), b.constraints.size());
-  for (size_t i = 0; i < a.constraints.size(); ++i) {
-    const GirConstraint& ca = a.constraints[i];
-    const GirConstraint& cb = b.constraints[i];
-    EXPECT_EQ(ca.provenance.kind, cb.provenance.kind) << "constraint " << i;
-    EXPECT_EQ(ca.provenance.position, cb.provenance.position)
-        << "constraint " << i;
-    EXPECT_EQ(ca.provenance.challenger, cb.provenance.challenger)
-        << "constraint " << i;
-    ASSERT_EQ(ca.normal.size(), cb.normal.size());
-    for (size_t j = 0; j < ca.normal.size(); ++j) {
-      EXPECT_EQ(ca.normal[j], cb.normal[j])
-          << "constraint " << i << " dim " << j;
-    }
-  }
 }
 
 TEST(FlatRTreeTest, StructureMatchesSource) {
@@ -181,67 +98,58 @@ TEST(FlatRTreeTest, RangeQueryMatchesSource) {
   }
 }
 
-// The acceptance property: GirRegion constraints and IoStats are
-// bit-identical between the mutable and frozen paths, across datasets,
-// dimensionalities, build methods and Phase-2 methods.
-TEST(FlatRTreeEquivalenceTest, GirPipelineBitIdentical) {
-  const size_t n = 1200;
-  const size_t k = 10;
+// The contract that lets every query-path traversal run on the frozen
+// image alone: for every node, the batched SoA kernel yields exactly the
+// per-entry scores of the scalar formulation — Score() of the record on
+// leaves, MaxScore() of the entry box on internal nodes — bit for bit,
+// so heap order, pruning and I/O are those of the paper's algorithms.
+// Checked on every dispatch tier the machine supports.
+TEST(FlatRTreeEquivalenceTest, EntryScoresMatchScoreAndMaxScore) {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  for (simd::Tier t : {simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    if (static_cast<int>(t) <= static_cast<int>(simd::DetectedTier())) {
+      tiers.push_back(t);
+    }
+  }
+  // Restores the startup tier however the test exits.
+  struct TierRestore {
+    simd::Tier saved = simd::ActiveTier();
+    ~TierRestore() { simd::ForceTier(saved); }
+  } restore;
   for (const char* dist : {"IND", "COR", "ANTI"}) {
-    for (size_t d : {2, 3, 4}) {
-      Dataset data = MakeData(dist, n, d, 1000 + d);
+    for (size_t d : {2, 3, 5}) {
+      Dataset data = MakeData(dist, 1200, d, 1000 + d);
       for (bool bulk : {true, false}) {
         DiskManager disk;
         RTree tree = BuildTree(data, &disk, bulk);
         FlatRTree flat = FlatRTree::Freeze(tree);
-        LinearScoring scoring(d);
         Rng qrng(2014 + d);
-        for (int q = 0; q < 2; ++q) {
-          Vec w = Query(qrng, d);
-          for (const char* method : {"SP", "CP", "FP"}) {
-            PipelineRun mut =
-                RunPipeline(tree, scoring, w, k, method, true);
-            PipelineRun frz =
-                RunPipeline(flat, scoring, w, k, method, true);
-            ExpectBitIdentical(mut, frz,
-                               std::string(dist) + " d=" + std::to_string(d) +
-                                   (bulk ? " bulk " : " insert ") + method);
+        Vec w = Query(qrng, d);
+        for (const char* name : {"Linear", "Polynomial", "Mixed"}) {
+          std::unique_ptr<ScoringFunction> scoring = MakeScoring(name, d);
+          for (simd::Tier tier : tiers) {
+            simd::ForceTier(tier);
+            SCOPED_TRACE(std::string(dist) + " d=" + std::to_string(d) +
+                         (bulk ? " bulk " : " insert ") + name + " " +
+                         simd::TierName(tier));
+            ScoreBuffer buf;
+            for (size_t p = 0; p < flat.node_count(); ++p) {
+              const FlatRTree::NodeView view =
+                  flat.PeekNode(static_cast<PageId>(p));
+              ComputeEntryScores(*scoring, data, view, w, &buf);
+              ASSERT_EQ(buf.scores.size(), view.count());
+              for (size_t e = 0; e < view.count(); ++e) {
+                const double expect =
+                    view.is_leaf()
+                        ? scoring->Score(data.Get(view.child(e)), w)
+                        : scoring->MaxScore(view.EntryMbb(e), w);
+                ASSERT_EQ(buf.scores[e], expect)
+                    << "node " << p << " entry " << e;
+              }
+            }
           }
         }
       }
-    }
-  }
-}
-
-TEST(FlatRTreeEquivalenceTest, GirStarBitIdentical) {
-  Dataset data = MakeData("ANTI", 1000, 3, 77);
-  DiskManager disk;
-  RTree tree = BuildTree(data, &disk, /*bulk=*/true);
-  FlatRTree flat = FlatRTree::Freeze(tree);
-  LinearScoring scoring(3);
-  Rng qrng(31);
-  Vec w = Query(qrng, 3);
-  for (const char* method : {"SP", "CP", "FP"}) {
-    PipelineRun mut = RunPipeline(tree, scoring, w, 8, method, false);
-    PipelineRun frz = RunPipeline(flat, scoring, w, 8, method, false);
-    ExpectBitIdentical(mut, frz, std::string("GIR* ") + method);
-  }
-}
-
-// Non-linear scorings exercise the TransformDimBatch kernel path.
-TEST(FlatRTreeEquivalenceTest, NonLinearScoringBitIdentical) {
-  Dataset data = MakeData("IND", 1000, 4, 55);
-  DiskManager disk;
-  RTree tree = BuildTree(data, &disk, /*bulk=*/true);
-  FlatRTree flat = FlatRTree::Freeze(tree);
-  Rng qrng(17);
-  Vec w = Query(qrng, 4);
-  for (const char* name : {"Polynomial", "Mixed"}) {
-    std::unique_ptr<ScoringFunction> scoring = MakeScoring(name, 4);
-    for (const char* method : {"SP", "FP"}) {
-      PipelineRun mut = RunPipeline(tree, *scoring, w, 12, method, true);
-      PipelineRun frz = RunPipeline(flat, *scoring, w, 12, method, true);
-      ExpectBitIdentical(mut, frz, std::string(name) + " " + method);
     }
   }
 }

@@ -39,7 +39,7 @@ TEST(GeneralTopKTest, MatchesLinearScanForMinScoring) {
   Rng rng(41);
   Dataset data = GenerateIndependent(3000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   MinScoring fn(3);
   for (int trial = 0; trial < 5; ++trial) {
     Vec q = {rng.Uniform(0.2, 1.0), rng.Uniform(0.2, 1.0),
@@ -59,7 +59,7 @@ TEST(GeneralTopKTest, AdapterMatchesBrs) {
   Rng rng(42);
   Dataset data = GenerateIndependent(2000, 4, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   GeneralFromDecomposable fn(MakeScoring("Linear", 4));
   LinearScoring linear(4);
   Vec q = {0.4, 0.7, 0.5, 0.9};
@@ -86,7 +86,7 @@ TEST(ApproxGirTest, AgreesWithExactGirOnLinearScoring) {
   opt.rays = 40;
   opt.probability_samples = 500;
   Result<ApproxGir> approx =
-      ApproxGir::Compute(engine->tree(), fn, q, k, opt);
+      ApproxGir::Compute(engine->flat_tree(), fn, q, k, opt);
   ASSERT_TRUE(approx.ok());
   EXPECT_EQ(approx->result(), exact->topk.result);
 
@@ -111,7 +111,7 @@ TEST(ApproxGirTest, OracleSemanticsForMinScoring) {
   Rng rng(44);
   Dataset data = GenerateIndependent(800, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   MinScoring fn(3);
   Vec q = {0.6, 0.5, 0.8};
   ApproxGirOptions opt;
@@ -146,7 +146,7 @@ TEST(ApproxGirTest, ScaleInvarianceOfMinScoringRegion) {
   Rng rng(45);
   Dataset data = GenerateIndependent(600, 2, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   MinScoring fn(2);
   Vec q = {0.8, 0.5};
   Result<ApproxGir> approx = ApproxGir::Compute(tree, fn, q, 5);
@@ -163,7 +163,7 @@ TEST(ApproxGirTest, RejectsDimensionMismatch) {
   Rng rng(46);
   Dataset data = GenerateIndependent(100, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   MinScoring fn(3);
   EXPECT_FALSE(ApproxGir::Compute(tree, fn, Vec{0.5, 0.5}, 5).ok());
 }

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
+#include "index/flat_rtree.h"
 #include "index/mbb.h"
 #include "index/rtree.h"
 
@@ -133,17 +134,21 @@ TEST(RTreeTest, CapacityMatchesPageBudget) {
   EXPECT_EQ(tree.Capacity(), 60u);
 }
 
-TEST(RTreeTest, ReadNodeChargesIo) {
+// Page reads are charged on the frozen image, the only tree queries
+// traverse: ReadNode and FetchPage cost one read each, PeekNode none.
+TEST(FlatRTreeIoTest, ReadNodeChargesIo) {
   Rng rng(12);
   Dataset data = GenerateIndependent(500, 2, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   disk.ResetStats();
   tree.ReadNode(tree.root());
   EXPECT_EQ(disk.stats().reads, 1u);
   EXPECT_DOUBLE_EQ(disk.ReadMillis(), 10.0);
   tree.PeekNode(tree.root());
   EXPECT_EQ(disk.stats().reads, 1u);
+  ASSERT_TRUE(tree.FetchPage(tree.root()).ok());
+  EXPECT_EQ(disk.stats().reads, 2u);
 }
 
 TEST(RTreeTest, EmptyTreeValidates) {

@@ -3,8 +3,8 @@
 // scoring functions, each tier forced via simd::ForceTier. The scalar
 // tier is the reference; every wider tier must reproduce its scores,
 // dominance verdicts, range-query survivors and (through the engine)
-// IoStats bit for bit — that is the contract that lets the PR 2
-// flat-vs-mutable equivalence tests extend unchanged to the SIMD paths.
+// IoStats bit for bit — that is the contract that lets the node-level
+// score identity of flat_rtree_test hold on every SIMD path.
 #include <gtest/gtest.h>
 
 #include <cstring>

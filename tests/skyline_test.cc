@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
+#include "index/flat_rtree.h"
 #include "skyline/bbs.h"
 #include "skyline/dominance.h"
 #include "skyline/skyline.h"
@@ -87,7 +88,7 @@ TEST_P(BbsTest, ContinuationMatchesBruteForce) {
   Result<Dataset> data = GenerateByName(c.dataset, 1500, c.dim, rng);
   ASSERT_TRUE(data.ok());
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&*data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&*data, &disk));
   LinearScoring scoring(c.dim);
   for (int trial = 0; trial < 3; ++trial) {
     Vec w(c.dim);
@@ -113,7 +114,7 @@ TEST(BbsTest, PrunesIo) {
   Rng rng(55);
   Dataset data = GenerateCorrelated(20000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(3);
   Vec w = {0.5, 0.6, 0.7};
   Result<TopKResult> brs = RunBrs(tree, scoring, w, 10);

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
+#include "index/flat_rtree.h"
 #include "topk/brs.h"
 #include "topk/scoring.h"
 
@@ -88,7 +89,7 @@ TEST_P(BrsTest, MatchesLinearScan) {
   Result<Dataset> data = GenerateByName(c.dataset, 3000, c.dim, rng);
   ASSERT_TRUE(data.ok());
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&*data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&*data, &disk));
   LinearScoring scoring(c.dim);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w(c.dim);
@@ -119,7 +120,7 @@ TEST(BrsTest, NonLinearScoringMatchesScan) {
   Rng rng(17);
   Dataset data = GenerateIndependent(2000, 4, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   for (const char* name : {"Polynomial", "Mixed"}) {
     auto scoring = MakeScoring(name, 4);
     Vec w = {0.4, 0.6, 0.5, 0.7};
@@ -138,7 +139,7 @@ TEST(BrsTest, EncounteredDisjointFromResult) {
   Rng rng(5);
   Dataset data = GenerateIndependent(1000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(3);
   Vec w = {0.5, 0.5, 0.5};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 20);
@@ -154,7 +155,7 @@ TEST(BrsTest, PendingNodesWereNeverRead) {
   Rng rng(6);
   Dataset data = GenerateAnticorrelated(3000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(3);
   Vec w = {0.9, 0.4, 0.7};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 10);
@@ -169,7 +170,7 @@ TEST(BrsTest, PendingNodesWereNeverRead) {
 TEST(BrsTest, SmallDatasetReturnsAll) {
   Dataset data = Dataset::FromRows({{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.1}});
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(2);
   Vec w = {1.0, 1.0};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 10);
@@ -182,7 +183,7 @@ TEST(BrsTest, SmallDatasetReturnsAll) {
 TEST(BrsTest, RejectsBadArguments) {
   Dataset data = Dataset::FromRows({{0.1, 0.2}});
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(2);
   EXPECT_FALSE(RunBrs(tree, scoring, Vec{0.5, 0.5}, 0).ok());
   EXPECT_FALSE(RunBrs(tree, scoring, Vec{0.5}, 1).ok());
@@ -196,7 +197,7 @@ TEST(BrsTest, RetainedStateIsSufficientToContinue) {
   Rng rng(77);
   Dataset data = GenerateIndependent(4000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   LinearScoring scoring(3);
   Vec w = {0.8, 0.3, 0.6};
   const size_t k = 10;
@@ -228,13 +229,14 @@ TEST(BrsTest, RetainedStateIsSufficientToContinue) {
       continued.push_back(top.id);
       continue;
     }
-    const RTreeNode& node = tree.ReadNode(static_cast<PageId>(top.id));
-    for (const RTreeEntry& e : node.entries) {
-      if (node.is_leaf) {
-        heap.push_back(E{scoring.Score(data.Get(e.child), w), false,
-                         e.child});
+    const FlatRTree::NodeView node =
+        tree.ReadNode(static_cast<PageId>(top.id));
+    for (size_t e = 0; e < node.count(); ++e) {
+      const int32_t child = node.child(e);
+      if (node.is_leaf()) {
+        heap.push_back(E{scoring.Score(data.Get(child), w), false, child});
       } else {
-        heap.push_back(E{scoring.MaxScore(e.mbb, w), true, e.child});
+        heap.push_back(E{scoring.MaxScore(node.EntryMbb(e), w), true, child});
       }
       std::push_heap(heap.begin(), heap.end(), less);
     }
@@ -252,7 +254,7 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
   Rng rng(21);
   Dataset data = GenerateIndependent(5000, 2, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
   disk.ResetStats();
   LinearScoring scoring(2);
   Vec w = {0.5, 0.5};
